@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .diagrams import (
     Diagram,
+    closure_components,
     columns,
     compose,
     enumerate_diagrams,
@@ -63,7 +64,6 @@ __all__ = [
     "eps_up",
     "eps_one",
     "trace",
-    "closure_components",
     "specialize",
     "ideal_basis",
     "as_scalar",
@@ -392,33 +392,6 @@ def eps_one(a: AlgebraElement) -> AlgebraElement:
     return eps_up(eps_down(a))
 
 
-def closure_components(d: Diagram) -> int:
-    """Components of d after joining each top vertex to its bottom twin."""
-    k2 = columns(d.double_rank)
-    parent = list(range(2 * k2))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    def node(v: int) -> int:
-        return v - 1 if v > 0 else k2 + (-v) - 1
-
-    for block in d.blocks:
-        for v in block[1:]:
-            union(node(block[0]), node(v))
-    for i in range(1, k2 + 1):
-        union(node(i), node(-i))
-    return len({find(t) for t in range(2 * k2)})
-
-
 def trace(a: AlgebraElement) -> Scalar:
     """tr(d) = parameter^(closure components), extended linearly."""
     total = Fraction(0) if a.mode is not None else Poly(())
@@ -438,13 +411,13 @@ def specialize(a: AlgebraElement, n) -> AlgebraElement:
     return AlgebraElement(a.double_rank, terms, point)
 
 
-def ideal_basis(double_rank: int, *, max_double_rank: int = 8) -> list[Diagram]:
+def ideal_basis(double_rank: int) -> list[Diagram]:
     """Diagrams with propagating number below the column count; they
     span the ideal complementing the permutation quotient."""
     k2 = columns(double_rank)
     return [
         d
-        for d in enumerate_diagrams(double_rank, max_double_rank=max_double_rank)
+        for d in enumerate_diagrams(double_rank)
         if propagating_number(d) < k2
     ]
 

@@ -38,6 +38,7 @@ __all__ = [
     "columns",
     "vertex_universe",
     "compose",
+    "closure_components",
     "propagating_number",
     "is_planar",
     "classify",
@@ -211,6 +212,20 @@ def _compose_cached(d1: Diagram, d2: Diagram) -> tuple[Diagram, int]:
             continue
         blocks.append([m + 1 if m < k2 else -(m - 2 * k2 + 1) for m in rim])
     return Diagram(d1.double_rank, blocks), removed
+
+
+def closure_components(d: Diagram) -> int:
+    """Components of d after joining each top vertex to its bottom twin.
+
+    The diagram trace of d is the parameter raised to this count.
+    """
+    k2 = columns(d.double_rank)
+    # node ids: column i is node i-1 in both rows
+    uf = _UnionFind(k2)
+    for block in d.blocks:
+        for v in block[1:]:
+            uf.union(abs(block[0]) - 1, abs(v) - 1)
+    return len({uf.find(node) for node in range(k2)})
 
 
 def propagating_number(d: Diagram) -> int:

@@ -1,7 +1,7 @@
 """Domain exceptions shared across the package.
 
-Every error raised on purpose derives from PartalgError so the CLI can
-map domain failures to a single exit code.
+Every error raised on purpose derives from PartalgError, so one
+except clause catches every domain failure.
 """
 
 __all__ = [

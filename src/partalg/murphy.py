@@ -34,7 +34,7 @@ from .diagrams import Diagram, columns, enumerate_diagrams, generator
 from .errors import BadParams, BadSubset, LimitExceeded
 from .linalg import rank as matrix_rank
 from .scalars import Poly
-from .tensor import EndoMatrix, phi, sym_tensor_matrix
+from .tensor import MAX_SIDE, EndoMatrix, _check_side, phi, sym_tensor_matrix
 
 __all__ = [
     "MAX_DOUBLE_RANK",
@@ -281,19 +281,16 @@ def _transposition_images(a: int, b: int, n: int) -> tuple[int, ...]:
     return tuple(imgs)
 
 
-def kappa_tensor_matrix(
-    n: int, slots: int, *, fixed_last: bool = False, max_side: int = 81
-) -> EndoMatrix:
+def kappa_tensor_matrix(n: int, slots: int, *, fixed_last: bool = False) -> EndoMatrix:
     """Sum of all transposition actions on labelings, applied to every
     slot at once.  ``fixed_last`` keeps only transpositions avoiding
     the largest label."""
+    _check_side(n, slots)
     top = n - 1 if fixed_last else n
     total = EndoMatrix.zero(n, slots)
     for a in range(1, top + 1):
         for b in range(a + 1, top + 1):
-            total = total + sym_tensor_matrix(
-                _transposition_images(a, b, n), n, slots, max_side=max_side
-            )
+            total = total + sym_tensor_matrix(_transposition_images(a, b, n), n, slots)
     return total
 
 
@@ -385,21 +382,18 @@ def _boundary_offset(n: int, measured: dict[int, int]) -> int | None:
     return deltas.pop()
 
 
-def _spectra_report(double_rank: int, n: int, max_side: int) -> dict:
+def _spectra_report(double_rank: int, n: int) -> dict:
     slots = double_rank // 2
     side = n**slots
     family = murphy_family(double_rank)
-    mats = {
-        rank: phi(specialize(elem, n), n, max_side=max_side)
-        for rank, elem in family
-    }
+    mats = {rank: phi(specialize(elem, n), n) for rank, elem in family}
 
     half_spec = _measured_spectrum(mats[Fraction(1, 2)], range(0, 3))
     offset_half = (
         1 - 0 if half_spec == {1: side} else None
     )
 
-    boundary = phi(specialize(M(2), n), n, max_side=max_side)
+    boundary = phi(specialize(M(2), n), n)
     window = range(-(n + double_rank), 2 * n + double_rank + 1)
     measured_boundary = _measured_spectrum(boundary, window)
     complete = sum(measured_boundary.values()) == n
@@ -451,9 +445,7 @@ def _spectra_report(double_rank: int, n: int, max_side: int) -> dict:
     return report
 
 
-def verify_murphy(
-    double_rank: int, n_witnesses: Sequence[int], *, max_side: int = 81
-) -> dict:
+def verify_murphy(double_rank: int, n_witnesses: Sequence[int]) -> dict:
     """Run the family checks at the given rank and return a report.
 
     Covers pairwise commutation with generic coefficients, centrality
@@ -492,23 +484,21 @@ def verify_murphy(
     for n in n_witnesses:
         for r in range(2, double_rank + 1):
             slots = r // 2
-            if n**slots > max_side:
+            if n**slots > MAX_SIDE:
                 continue
-            mat = phi(specialize(Z(r), n), n, max_side=max_side)
+            mat = phi(specialize(Z(r), n), n)
             if r % 2 == 0:
                 shift = Fraction(slots * n - n * (n - 1) // 2)
-                expected = kappa_tensor_matrix(n, slots, max_side=max_side)
+                expected = kappa_tensor_matrix(n, slots)
             else:
                 shift = Fraction((slots + 1) * n - 1 - n * (n - 1) // 2)
-                expected = kappa_tensor_matrix(
-                    n, slots, fixed_last=True, max_side=max_side
-                )
+                expected = kappa_tensor_matrix(n, slots, fixed_last=True)
             expected = expected + EndoMatrix.identity(n, slots).scale(shift)
             tensor_identity.append(
                 {"n": n, "double_rank": r, "ok": mat == expected}
             )
-        if n ** (double_rank // 2) <= max_side:
-            spectra.append(_spectra_report(double_rank, n, max_side))
+        if n ** (double_rank // 2) <= MAX_SIDE:
+            spectra.append(_spectra_report(double_rank, n))
 
     ok = (
         not commuting["failures"]

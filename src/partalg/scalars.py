@@ -25,20 +25,15 @@ from fractions import Fraction
 from .errors import DenominatorVanishes
 
 __all__ = [
-    "Rational",
     "Poly",
     "RatFunc",
     "Scalar",
     "parse_rational",
     "rational_str",
-    "poly_eval",
     "scalar_is_zero",
-    "scalar_eval",
     "scalar_to_json",
     "scalar_from_json",
 ]
-
-Rational = Fraction
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
@@ -243,11 +238,6 @@ def _coerce_poly(value):
     return NotImplemented
 
 
-def poly_eval(p: Poly, value) -> Fraction:
-    """Evaluates p at a rational point."""
-    return p(value)
-
-
 @dataclass(frozen=True)
 class RatFunc:
     """Quotient of polynomials; denominator monic and coprime to the numerator."""
@@ -366,13 +356,6 @@ def scalar_is_zero(value: Scalar | int) -> bool:
     if isinstance(value, (Poly, RatFunc)):
         return value.is_zero()
     return value == 0
-
-
-def scalar_eval(value: Scalar | int, point: Fraction) -> Fraction:
-    """Evaluates any scalar kind at x = point (constants pass through)."""
-    if isinstance(value, (Poly, RatFunc)):
-        return value(point)
-    return Fraction(value)
 
 
 def scalar_to_json(value: Scalar | int):

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .algebra import (
     AlgebraElement,
-    closure_components,
+    _param_power,
     diagram_element,
     embed,
     eps_down,
@@ -45,6 +45,7 @@ from .combinatorics import (
 )
 from .diagrams import (
     Diagram,
+    closure_components,
     compose,
     enumerate_diagrams,
     identity_diagram,
@@ -63,14 +64,13 @@ from .errors import (
     PartalgError,
     VertexNotFound,
 )
-from .linalg import bareiss_det, invert, rank as matrix_rank
+from .linalg import bareiss_det, invert, rank as matrix_rank, rref
 from .scalars import Poly, RatFunc, Scalar
-from .symgroup import sym_matrix_units, young_elements
+from .symgroup import MatrixUnitSystem, sym_matrix_units, young_elements
 
 __all__ = [
     "GramReport",
     "CharacterPolynomial",
-    "TowerUnitSystem",
     "regular_trace",
     "gram",
     "semisimple_verdict",
@@ -141,11 +141,43 @@ def _weight(double_level: int, vertex) -> Poly:
     return char_poly(vertex, half=bool(double_level % 2)).poly
 
 
+def _coordinates(u: AlgebraElement, position: dict[Diagram, int]) -> list[Fraction]:
+    """Coefficients of u on the indexed diagrams; other terms drop out."""
+    vec = [Fraction(0)] * len(position)
+    for d, c in u.terms.items():
+        i = position.get(d)
+        if i is not None:
+            vec[i] = c
+    return vec
+
+
+def _at(value: Poly, mode) -> Scalar:
+    return value if mode is None else value(mode)
+
+
+@lru_cache(maxsize=None)
+def _regular_value(d: Diagram) -> Poly:
+    """Generic regular trace of one diagram: the sum of x^r over the
+    basis diagrams e with d e = x^r e."""
+    total = Poly(())
+    for e in _basis(d.double_rank):
+        out, r = compose(d, e)
+        if out == e:
+            total = total + Poly.x() ** r
+    return total
+
+
 def regular_trace(a: AlgebraElement) -> Scalar:
-    """Trace of left multiplication by a on the diagram basis."""
+    """Trace of left multiplication by a on the diagram basis.
+
+    Linear in a: each diagram contributes its coefficient times its own
+    regular trace, evaluated at the element's parameter.  Diagram
+    values are cached, so a first call costs one composition per term
+    and basis diagram, and no products.
+    """
     total = Fraction(0) if a.mode is not None else Poly(())
-    for d in _basis(a.double_rank):
-        total = total + multiply(a, diagram_element(d, 1, a.mode)).coeff(d)
+    for d, c in a.terms.items():
+        total = total + c * _at(_regular_value(d), a.mode)
     return total
 
 
@@ -157,26 +189,6 @@ class GramReport:
     diagrams: tuple[Diagram, ...]
     matrix: tuple[tuple[Scalar, ...], ...]
     det: Scalar | None
-
-
-def _diagram_trace_value(d: Diagram, mode) -> Scalar:
-    r = closure_components(d)
-    return Poly.x() ** r if mode is None else mode**r
-
-
-@lru_cache(maxsize=None)
-def _regular_diagonal(double_rank: int) -> dict[Diagram, Poly]:
-    """d -> generic regular trace of d, tabulated once per rank."""
-    basis = _basis(double_rank)
-    table: dict[Diagram, Poly] = {}
-    for d in basis:
-        total = Poly(())
-        for e in basis:
-            out, r = compose(d, e)
-            if out == e:
-                total = total + Poly.x() ** r
-        table[d] = total
-    return table
 
 
 def gram(
@@ -203,21 +215,17 @@ def gram(
     mode = None if n is None else Fraction(n)
     basis = _basis(double_rank)
     if trace_kind == "regular":
-        diag = _regular_diagonal(double_rank)
+        values = {d: _at(_regular_value(d), mode) for d in basis}
 
         def entry(a: Diagram, b: Diagram) -> Scalar:
             d, r = compose(a, b)
-            value = diag[d]
-            if mode is None:
-                return Poly.x() ** r * value
-            return mode**r * value(mode)
+            return _param_power(mode, r) * values[d]
 
     else:
 
         def entry(a: Diagram, b: Diagram) -> Scalar:
             d, r = compose(a, b)
-            base = _diagram_trace_value(d, mode)
-            return (Poly.x() ** r if mode is None else mode**r) * base
+            return _param_power(mode, r + closure_components(d))
 
     matrix = tuple(tuple(entry(a, b) for b in basis) for a in basis)
     det: Scalar | None = None
@@ -288,42 +296,6 @@ def eps_ratio(double_level: int, mu, lam, n=None) -> Scalar:
     return num(point) / den_value
 
 
-class TowerUnitSystem:
-    """Complete system of matrix units for the diagram algebra at one
-    tower level, indexed by (vertex, P, Q) with P, Q root-to-vertex
-    walks in the branching graph."""
-
-    __slots__ = ("double_rank", "n", "index", "units")
-
-    def __init__(self, double_rank: int, n: Fraction, units: dict):
-        self.double_rank = double_rank
-        self.n = n
-        self.index = sorted(units)
-        self.units = units
-
-    def unit(self, vertex, p, q) -> AlgebraElement:
-        return self.units[(tuple(vertex), p, q)]
-
-    def diagonal_index(self) -> list[tuple]:
-        return [key for key in self.index if key[1] == key[2]]
-
-    def identity_sum(self) -> AlgebraElement:
-        total = zero(self.double_rank, self.n)
-        for key in self.diagonal_index():
-            total = total + self.units[key]
-        return total
-
-    def central_idempotent(self) -> AlgebraElement:
-        """Sum of the diagonal units below the top layer; projects onto
-        the proper ideal."""
-        top = self.double_rank // 2
-        total = zero(self.double_rank, self.n)
-        for key in self.diagonal_index():
-            if sum(key[0]) < top:
-                total = total + self.units[key]
-        return total
-
-
 def _tableau_walk(tableau, double_rank: int) -> tuple:
     """The branching-graph walk of a standard tableau: stay on the way
     down to each half level, add the next box on the way back up."""
@@ -343,7 +315,7 @@ def _tableau_walk(tableau, double_rank: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _build_units(t: int, n: Fraction) -> TowerUnitSystem:
+def _build_units(t: int, n: Fraction) -> MatrixUnitSystem:
     graph = _graph(t)
     if t >= 2:
         for vertex in graph.levels[t - 1]:
@@ -380,10 +352,10 @@ def _build_units(t: int, n: Fraction) -> TowerUnitSystem:
     for (shape, ptab, qtab), u in sym.units.items():
         key = (shape, _tableau_walk(ptab, t), _tableau_walk(qtab, t))
         units[key] = multiply(complement, embed(u, t))
-    return TowerUnitSystem(t, n, units)
+    return MatrixUnitSystem(t, n, units)
 
 
-def matrix_units(double_rank: int, n) -> TowerUnitSystem:
+def matrix_units(double_rank: int, n) -> MatrixUnitSystem:
     """Matrix units at rank double_rank/2, parameter n.
 
     Units over the proper ideal come from the level below: conjugate
@@ -471,14 +443,9 @@ def basic_construction_iso(
     position = {d: i for i, d in enumerate(basis)}
 
     products = [[multiply(multiply(a, p_elem), b) for b in eb] for a in eb]
-    rows = []
-    for row in products:
-        for u in row:
-            vec = [Fraction(0)] * len(basis)
-            for d, c in u.terms.items():
-                vec[position[d]] = c
-            rows.append(vec)
-    span_rank = matrix_rank(rows)
+    span_rank = matrix_rank(
+        [_coordinates(u, position) for row in products for u in row]
+    )
     ideal = ideal_basis(t)
     expected = counting("bell", t) - factorial(t // 2)
 
@@ -592,33 +559,16 @@ def radical_basis(double_rank: int, n) -> list[AlgebraElement]:
                 out.append(multiply(multiply(left, p_elem), right))
     if not out:
         return out
-    basis = _basis(t)
-    position = {d: i for i, d in enumerate(basis)}
-
-    def independent(elements: list[AlgebraElement]) -> list[AlgebraElement]:
-        kept: list[AlgebraElement] = []
-        echelon: list[list[Fraction]] = []
-        for u in elements:
-            vec = [Fraction(0)] * len(basis)
-            for d, c in u.terms.items():
-                vec[position[d]] = c
-            for row in echelon:
-                lead = next(i for i, v in enumerate(row) if v)
-                if vec[lead]:
-                    f = vec[lead] / row[lead]
-                    vec = [a - f * b for a, b in zip(vec, row)]
-            if any(vec):
-                kept.append(u)
-                echelon.append(vec)
-        return kept
-
-    current = independent(out)
+    position = {d: i for i, d in enumerate(_basis(t))}
+    current = out
     for _ in range(len(out) + 1):
+        # keep the first maximal independent subset: the pivot columns
+        # of the matrix whose columns are the elements' coordinates
+        coords = [_coordinates(u, position) for u in current]
+        current = [current[j] for j in rref(list(zip(*coords)))[1]]
         if not current:
             return out
-        current = independent(
-            [multiply(u, r) for u in current for r in out]
-        )
+        current = [multiply(u, r) for u in current for r in out]
     raise PartalgError("radical span failed nilpotency validation")
 
 
@@ -648,22 +598,13 @@ def specht(double_rank: int, lam, witness_n: int | None = None) -> dict:
     basis = _basis(double_rank)
     coords = [d for d in basis if propagating_number(d) >= m]
     position = {d: i for i, d in enumerate(coords)}
-
-    def quotient_vector(u: AlgebraElement) -> list[Fraction]:
-        vec = [Fraction(0)] * len(coords)
-        for d, c in u.terms.items():
-            i = position.get(d)
-            if i is not None:
-                vec[i] = c
-        return vec
-
     rows = [
-        quotient_vector(multiply(diagram_element(b, 1, point), e))
+        _coordinates(multiply(diagram_element(b, 1, point), e), position)
         for b in basis
     ]
     image_rank = matrix_rank(rows)
     walks = _graph(double_rank).path_count(double_rank, parts)
-    psi_nonzero = any(quotient_vector(e))
+    psi_nonzero = any(_coordinates(e, position))
     return {
         "double_rank": double_rank,
         "lam": parts,

@@ -246,13 +246,18 @@ def young_elements(shape, size: int, mode: Mode = None):
 
 
 class MatrixUnitSystem:
-    """Complete system of matrix units, indexed by (shape, P, Q) with
-    P, Q standard tableaux of the shape."""
+    """Complete system of matrix units of one algebra, at double rank
+    double_rank and parameter mode.
 
-    __slots__ = ("size", "mode", "index", "units")
+    Keys are (shape, P, Q) with P, Q standard tableaux of the shape for
+    the group algebra of S_k, or (vertex, P, Q) with P, Q root-to-vertex
+    walks in the Bratteli graph for a level of the diagram tower.
+    """
 
-    def __init__(self, size: int, mode: Mode, units: dict):
-        self.size = size
+    __slots__ = ("double_rank", "mode", "index", "units")
+
+    def __init__(self, double_rank: int, mode: Mode, units: dict):
+        self.double_rank = double_rank
         self.mode = mode
         self.index = sorted(units)
         self.units = units
@@ -264,7 +269,7 @@ class MatrixUnitSystem:
         return [key for key in self.index if key[1] == key[2]]
 
     def identity_sum(self) -> AlgebraElement:
-        total = zero(2 * self.size, self.mode)
+        total = zero(self.double_rank, self.mode)
         for key in self.diagonal_index():
             total = total + self.units[key]
         return total
@@ -361,7 +366,7 @@ def sym_matrix_units(size: int, mode: Mode = None) -> MatrixUnitSystem:
             for q in tabs[1:]:
                 if p != q:
                     units[(shape, p, q)] = multiply(to_base[p], from_base[q])
-    return MatrixUnitSystem(size, mode, units)
+    return MatrixUnitSystem(2 * size, mode, units)
 
 
 def _unit_ratio(multiple: AlgebraElement, unit: AlgebraElement) -> Fraction:

@@ -139,14 +139,18 @@ def _labelings(n: int, slots: int):
     return list(product(range(1, n + 1), repeat=slots))
 
 
-def _action_shape(double_rank: int, n: int, max_side: int):
+def _check_side(n: int, slots: int) -> None:
+    if n**slots > MAX_SIDE:
+        raise LimitExceeded(f"side {n}**{slots} exceeds cap {MAX_SIDE}")
+
+
+def _action_shape(double_rank: int, n: int):
     if n < 1:
         raise BadParams("need at least one basis vector")
     k2 = columns(double_rank)
     slots = double_rank // 2
     pinned = k2 if double_rank % 2 == 1 else None
-    if n**slots > max_side:
-        raise LimitExceeded(f"side {n}**{slots} exceeds cap {max_side}")
+    _check_side(n, slots)
     return slots, pinned
 
 
@@ -167,16 +171,16 @@ def _block_labels_equal(d: Diagram, top, bot, pinned, n) -> bool:
     return True
 
 
-def phi(b: Diagram | AlgebraElement, n: int, *, max_side: int = MAX_SIDE) -> EndoMatrix:
+def phi(b: Diagram | AlgebraElement, n: int) -> EndoMatrix:
     """Matrix of the diagram action; linear over specialized elements."""
     if isinstance(b, AlgebraElement):
         if b.mode != Fraction(n):
             raise BadParams("element must be specialized at the same n")
-        out = EndoMatrix.zero(n, _action_shape(b.double_rank, n, max_side)[0])
+        out = EndoMatrix.zero(n, _action_shape(b.double_rank, n)[0])
         for d, c in b.terms.items():
-            out = out + phi(d, n, max_side=max_side).scale(c)
+            out = out + phi(d, n).scale(c)
         return out
-    slots, pinned = _action_shape(b.double_rank, n, max_side)
+    slots, pinned = _action_shape(b.double_rank, n)
     labels = _labelings(n, slots)
     rows = [
         [1 if _block_labels_equal(b, top, bot, pinned, n) else 0 for bot in labels]
@@ -185,10 +189,10 @@ def phi(b: Diagram | AlgebraElement, n: int, *, max_side: int = MAX_SIDE) -> End
     return EndoMatrix(n, slots, rows)
 
 
-def phi_orbit(d: Diagram, n: int, *, max_side: int = MAX_SIDE) -> EndoMatrix:
+def phi_orbit(d: Diagram, n: int) -> EndoMatrix:
     """Action of the orbit element of d: entry 1 only when the label
     pattern matches the blocks of d exactly."""
-    slots, pinned = _action_shape(d.double_rank, n, max_side)
+    slots, pinned = _action_shape(d.double_rank, n)
     labels = _labelings(n, slots)
 
     def pattern_matches(top, bot) -> bool:
@@ -211,12 +215,11 @@ def phi_orbit(d: Diagram, n: int, *, max_side: int = MAX_SIDE) -> EndoMatrix:
     return EndoMatrix(n, slots, rows)
 
 
-def sym_tensor_matrix(images, n: int, slots: int, *, max_side: int = MAX_SIDE) -> EndoMatrix:
+def sym_tensor_matrix(images, n: int, slots: int) -> EndoMatrix:
     """Diagonal permutation action: relabels every tensor slot."""
     if sorted(images) != list(range(1, n + 1)):
         raise BadParams("images must be a bijection of 1..n")
-    if n**slots > max_side:
-        raise LimitExceeded(f"side {n}**{slots} exceeds cap {max_side}")
+    _check_side(n, slots)
     labels = _labelings(n, slots)
     position = {lab: t for t, lab in enumerate(labels)}
     side = len(labels)
@@ -284,7 +287,6 @@ def homomorphism_check(
     samples: int | None = None,
     *,
     seed: int = 0,
-    max_side: int = MAX_SIDE,
 ) -> dict:
     """Compares the action of every product with the product of the
     actions; exhaustive over basis pairs unless a sample count is given."""
@@ -296,7 +298,7 @@ def homomorphism_check(
 
         rng = random.Random(seed)
         pairs = [(rng.choice(basis), rng.choice(basis)) for _ in range(samples)]
-    matrices = {d: phi(d, n, max_side=max_side) for d in basis}
+    matrices = {d: phi(d, n) for d in basis}
     mode = Fraction(n)
     failures = []
     for d1, d2 in pairs:
@@ -304,31 +306,27 @@ def homomorphism_check(
             AlgebraElement(double_rank, {d1: 1}, mode),
             AlgebraElement(double_rank, {d2: 1}, mode),
         )
-        if phi(product_element, n, max_side=max_side) != matrices[d1] @ matrices[d2]:
+        if phi(product_element, n) != matrices[d1] @ matrices[d2]:
             failures.append((d1, d2))
     return {"pairs": len(pairs), "failures": failures}
 
 
-def commutant_dims(
-    n: int, double_rank: int, *, max_side: int = MAX_SIDE
-) -> tuple[int, int, list[Diagram]]:
+def commutant_dims(n: int, double_rank: int) -> tuple[int, int, list[Diagram]]:
     """Rank of the span of the diagram actions, the kernel dimension,
     and the diagrams whose orbit elements span the kernel (those with
     more than n blocks; each is checked to act by zero)."""
     basis = list(enumerate_diagrams(double_rank))
-    vectors = [phi(d, n, max_side=max_side).flat() for d in basis]
+    vectors = [phi(d, n).flat() for d in basis]
     image_rank = matrix_rank(vectors)
     kernel_dim = len(basis) - image_rank
     witnesses = [d for d in basis if len(d.blocks) > n]
     for d in witnesses:
-        if not phi_orbit(d, n, max_side=max_side).is_zero():
+        if not phi_orbit(d, n).is_zero():
             raise PartalgError("orbit element with many blocks acts nonzero")
     return image_rank, kernel_dim, witnesses
 
 
-def bimodule_dimension_check(
-    n: int, double_rank: int, *, max_side: int = MAX_SIDE
-) -> dict:
+def bimodule_dimension_check(n: int, double_rank: int) -> dict:
     """Dimension bookkeeping for the joint symmetric-group/diagram
     action: weighted path counts against the tensor dimension and
     squared path counts against the image rank."""
@@ -340,7 +338,7 @@ def bimodule_dimension_check(
         paths = graph.path_count(double_rank, shape)
         weighted += syt_dimension(shape) * paths
         squared += paths * paths
-    image_rank, kernel_dim, _ = commutant_dims(n, double_rank, max_side=max_side)
+    image_rank, kernel_dim, _ = commutant_dims(n, double_rank)
     slots = double_rank // 2
     return {
         "tensor_dim": n**slots,

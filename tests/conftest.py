@@ -47,3 +47,21 @@ def standard_tableaux(shape):
 
     grow([[] for _ in shape], [0] * len(shape), 1)
     return results
+
+
+def unit_system_obeys_relations(system) -> None:
+    """Matrix units sum to one and multiply as e_PQ e_RS = [Q = R] e_PS
+    within a block, and to zero across blocks."""
+    from partalg.algebra import multiply, one
+
+    assert system.identity_sum() == one(system.double_rank, system.mode)
+    for key1 in system.index:
+        shape1, p1, q1 = key1
+        u1 = system.units[key1]
+        for key2 in system.index:
+            shape2, p2, q2 = key2
+            product = multiply(u1, system.units[key2])
+            if shape1 == shape2 and q1 == p2:
+                assert product == system.units[(shape1, p1, q2)]
+            else:
+                assert product.is_zero()

@@ -1,0 +1,31 @@
+"""The declared public surface resolves: every name in a module's
+__all__ exists, and every console-script target in pyproject.toml
+imports."""
+
+import importlib
+import pkgutil
+import tomllib
+from pathlib import Path
+
+import pytest
+
+import partalg
+
+MODULES = ["partalg"] + [
+    f"partalg.{info.name}" for info in pkgutil.iter_modules(partalg.__path__)
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing
+
+
+def test_script_targets_import():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"].get("scripts", {})
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))

@@ -1,5 +1,6 @@
 """Commuting family: collapse diagrams, split sums, central elements."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -240,6 +241,19 @@ def test_tensor_identity_half_rank_witnesses():
         want = kappa_tensor_matrix(n, k, fixed_last=True)
         want = want + EndoMatrix.identity(n, k).scale(shift)
         assert got == want
+
+
+def test_kappa_tensor_matrix_checks_cap_before_allocating():
+    # 3**6 = 729 exceeds the side cap; the check must come before any
+    # 729 x 729 matrix is built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceeded):
+            kappa_tensor_matrix(3, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_first_family_member_eigenvalues_at_witness_seven():

@@ -1,0 +1,145 @@
+"""Structural analysis: trace forms, Gram matrices and determinants,
+semisimplicity verdicts, matrix units along the tower, the radical,
+and averaging onto the center.
+
+Each check uses an oracle outside the code under test: the trace of a
+left-multiplication matrix built here from products, the closure trace
+of the algebra layer, the parameter-range theorem, or the matrix-unit
+relations themselves.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from partalg.algebra import (
+    AlgebraElement,
+    diagram_element,
+    multiply,
+    orbit_element,
+    specialize,
+    trace,
+)
+from partalg.diagrams import enumerate_diagrams
+from partalg.linalg import rank
+from partalg.scalars import Poly
+from partalg.structure import (
+    char_decomposition_check,
+    gram,
+    matrix_units,
+    radical_basis,
+    regular_trace,
+    semisimple_verdict,
+    symmetrize,
+)
+from conftest import unit_system_obeys_relations
+
+MODES = (None, Fraction(3), Fraction(1, 2))
+
+
+def _element(double_rank: int, mode, rng: random.Random) -> AlgebraElement:
+    basis = list(enumerate_diagrams(double_rank))
+    picked = rng.sample(basis, min(3, len(basis)))
+    return AlgebraElement(
+        double_rank, {d: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for d in picked}, mode
+    )
+
+
+def _left_multiplication_trace(a: AlgebraElement):
+    """Sum of the diagonal of b -> a b on the diagram basis."""
+    total = Fraction(0) if a.mode is not None else Poly(())
+    for e in enumerate_diagrams(a.double_rank):
+        total = total + multiply(a, diagram_element(e, 1, a.mode)).coeff(e)
+    return total
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_regular_trace_is_trace_of_left_multiplication(mode):
+    rng = random.Random(11)
+    for dr in range(5):
+        elements = [diagram_element(d, 1, mode) for d in enumerate_diagrams(dr)]
+        elements.append(_element(dr, mode, rng))
+        for a in elements:
+            assert regular_trace(a) == _left_multiplication_trace(a)
+
+
+@pytest.mark.parametrize("n", (None, 3))
+def test_gram_entries_are_trace_values(n):
+    mode = None if n is None else Fraction(n)
+    for dr in range(4):
+        regular = gram(dr, n, "regular", want_det=False)
+        closure = gram(dr, n, "diagram", want_det=False)
+        assert regular.diagrams == closure.diagrams
+        elements = [diagram_element(d, 1, mode) for d in regular.diagrams]
+        for i, a in enumerate(elements):
+            for j, b in enumerate(elements):
+                product = multiply(a, b)
+                assert regular.matrix[i][j] == regular_trace(product)
+                assert closure.matrix[i][j] == trace(product)
+
+
+def _integer_roots(p: Poly) -> set[int]:
+    """Integer roots of a nonzero polynomial, by the rational root test
+    on its square-free part."""
+    derivative = Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+    square_free = p.exact_div(Poly.gcd(p, derivative))
+    roots = {0} if square_free(0) == 0 else set()
+    coeffs = list(square_free.coeffs)
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    scale = 1
+    for c in coeffs:
+        scale = scale * c.denominator
+    lowest = abs(int(coeffs[0] * scale))
+    for q in range(1, lowest + 1):
+        if lowest % q == 0:
+            roots.update(r for r in (q, -q) if square_free(r) == 0)
+    return roots
+
+
+def test_generic_regular_gram_roots():
+    expected = {2: {0}, 3: {1}, 4: {0, 1, 2}}
+    for dr, roots in expected.items():
+        det = gram(dr, None).det
+        assert not det.is_zero()
+        assert _integer_roots(det) == roots
+
+
+def test_semisimple_verdict_agrees_with_theorem():
+    for dr in range(2, 6):
+        for n in range(2, 5):
+            report = semisimple_verdict(dr, n)
+            assert report["by_gram"] == report["by_theorem"]
+
+
+def test_radical_dimension_is_gram_nullity():
+    for dr, n in ((2, 0), (3, 1), (4, 2)):
+        size = len(list(enumerate_diagrams(dr)))
+        nullity = size - rank(gram(dr, n, want_det=False).matrix)
+        assert nullity > 0
+        assert len(radical_basis(dr, n)) == nullity
+
+
+def test_char_decomposition():
+    for dr in range(5):
+        assert char_decomposition_check(dr, 3)["ok"]
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_tower_matrix_units(n):
+    for dr in range(5):
+        unit_system_obeys_relations(matrix_units(dr, n))
+
+
+def test_symmetrize_central_and_basis_free():
+    n = Fraction(3)
+    diagrams = list(enumerate_diagrams(4))
+    a = _element(4, n, random.Random(5))
+    z = symmetrize(a, 4, n)
+    assert not z.is_zero()
+    for d in diagrams:
+        g = diagram_element(d, 1, n)
+        assert multiply(z, g) == multiply(g, z)
+    orbit = [specialize(orbit_element(d), n) for d in diagrams]
+    assert symmetrize(a, 4, n, orbit) == z

@@ -11,7 +11,6 @@ from partalg.combinatorics import partitions_of, syt_dimension
 from partalg.diagrams import generator, make_diagram
 from partalg.errors import SizeMismatch
 from partalg.symgroup import (
-    MatrixUnitSystem,
     Permutation,
     column_reading_tableau,
     kappa,
@@ -22,7 +21,7 @@ from partalg.symgroup import (
     transposition,
     young_elements,
 )
-from conftest import standard_tableaux
+from conftest import standard_tableaux, unit_system_obeys_relations
 
 
 def test_permutation_basics():
@@ -159,21 +158,6 @@ def test_young_symmetrizer_quasi_idempotent():
             for j in range(2, size + 1):
                 expect *= j
             assert ratio == expect / syt_dimension(shape)
-
-
-def unit_system_obeys_relations(system: MatrixUnitSystem) -> None:
-    identity = one(2 * system.size, system.mode)
-    assert system.identity_sum() == identity
-    for key1 in system.index:
-        shape1, p1, q1 = key1
-        u1 = system.units[key1]
-        for key2 in system.index:
-            shape2, p2, q2 = key2
-            product = multiply(u1, system.units[key2])
-            if shape1 == shape2 and q1 == p2:
-                assert product == system.units[(shape1, p1, q2)]
-            else:
-                assert product.is_zero()
 
 
 def test_units_size_one_and_two():
