@@ -1,15 +1,19 @@
 """Exact dense linear algebra over Q and over polynomial rings.
 
-Determinants use fraction-free Bareiss elimination, which stays inside
-any integral domain supporting exact division (int, Fraction, Poly).
-Rank, nullspace, and inverse work over Fraction entries via reduced row
-echelon form; polynomial or rational-function matrices can be cleared to
-a common domain first by the caller.
+Determinants and ranks share one fraction-free (Bareiss) elimination,
+which stays inside any integral domain supporting exact division (int,
+Fraction, Poly).  ``rank`` first scales each row by the least common
+multiple of its denominators, so its elimination runs on Python ints;
+every intermediate entry is a minor of that integer matrix.  Nullspace,
+inverse and solving work over Fraction entries via reduced row echelon
+form; polynomial or rational-function matrices can be cleared to a
+common domain first by the caller.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 __all__ = [
     "bareiss_det",
@@ -32,6 +36,61 @@ def _exact_div(a, b):
     return a / b
 
 
+def _eliminate(m) -> tuple[int, int]:
+    """One-step fraction-free (Bareiss) elimination of the rows m, in place.
+
+    Pivots are taken row by row, each in the leftmost column that still
+    has a nonzero entry at or below the current row.  Every updated
+    entry is (a * pivot - lead * b) / previous pivot, a minor of the
+    input, so the division is exact.  A row whose entry in the pivot
+    column is zero is left alone: across consecutive steps its true
+    value only scales by pivot / previous pivot, which telescopes, so
+    the row remembers the pivot in force when it was last updated and
+    catches up when it is next used.  Returns (rank, sign of the row
+    swaps); after the call m[rank - 1] holds the last pivot row, up to
+    date, with its pivot at the end of its leading zeros.
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    dens = [1] * nrows
+    prev = 1
+    sign = 1
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        pivot_row = next((r for r in range(row, nrows) if m[r][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != row:
+            m[row], m[pivot_row] = m[pivot_row], m[row]
+            dens[row], dens[pivot_row] = dens[pivot_row], dens[row]
+            sign = -sign
+        top = m[row]
+        if dens[row] != prev:
+            top = m[row] = _divide_row([v * prev for v in top], dens[row])
+        pivot = top[col]
+        tail = top[col + 1 :]
+        for r in range(row + 1, nrows):
+            target = m[r]
+            lead = target[col]
+            if not lead:
+                continue
+            values = [a * pivot - lead * b for a, b in zip(target[col + 1 :], tail)]
+            target[col + 1 :] = _divide_row(values, dens[r])
+            target[col] = lead - lead
+            dens[r] = pivot
+        prev = pivot
+        row += 1
+    return row, sign
+
+
+def _divide_row(values, den):
+    if den == 1:
+        return values
+    return [_exact_div(v, den) for v in values]
+
+
 def bareiss_det(matrix):
     """Determinant of a square matrix by fraction-free elimination.
 
@@ -45,30 +104,10 @@ def bareiss_det(matrix):
         raise ValueError("matrix is not square")
     if n == 0:
         return 1
-    sign = 1
-    prev = None
-    for col in range(n - 1):
-        pivot_row = None
-        for r in range(col, n):
-            if m[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            zero = m[0][0] - m[0][0]
-            return zero
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                value = m[r][c] * pivot - m[r][col] * m[col][c]
-                if prev is not None:
-                    value = _exact_div(value, prev)
-                m[r][c] = value
-            m[r][col] = m[r][col] - m[r][col]
-        prev = pivot
+    full, sign = _eliminate(m)
     det = m[n - 1][n - 1]
+    if full < n:
+        return det - det
     return det if sign == 1 else -det
 
 
@@ -103,8 +142,20 @@ def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def rank(matrix) -> int:
-    """Rank over Q.  Entries may be ints or Fractions."""
-    return len(rref(matrix)[1])
+    """Rank over Q.  Entries may be ints or Fractions; each row is
+    scaled to integers by its common denominator, then eliminated over
+    Z without fractions."""
+    return _eliminate([_integer_row(row) for row in matrix])[0]
+
+
+def _integer_row(row) -> list[int]:
+    den = 1
+    for v in row:
+        if type(v) is not int:
+            den = lcm(den, Fraction(v).denominator)
+    if den == 1:
+        return [int(v) for v in row]
+    return [int(Fraction(v) * den) for v in row]
 
 
 def nullspace(matrix) -> list[list[Fraction]]:

@@ -4,13 +4,19 @@ A rank-k diagram acts on the k-fold tensor power of an n-dimensional
 space: the matrix coefficient between a top labeling and a bottom
 labeling is 1 exactly when equal labels sit on every block.  Half ranks
 act on the subspace whose extra slot is pinned to the last basis
-vector.  Everything is exact rational arithmetic.
+vector.  The nonzero entries are generated, not searched for: each
+labelling of the blocks lands at one flat position, the sum over blocks
+of label times the block's place weight, so a diagram with b free
+blocks costs n**b steps rather than a test of every pair of labelings;
+orbit elements take the labellings with distinct labels.  Matrices are
+exact, with int or Fraction entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from operator import mul
 
 from .algebra import AlgebraElement, multiply
 from .combinatorics import build_bratteli, syt_dimension
@@ -39,18 +45,42 @@ class EndoMatrix:
     Rows are indexed by top (input) labelings, columns by bottom
     (output) labelings, both enumerated big-endian with the first slot
     most significant; with that layout the matrix product of two
-    diagram actions stacks the diagrams top to bottom.
+    diagram actions stacks the diagrams top to bottom.  Entries are
+    ints or Fractions.
     """
 
     __slots__ = ("n", "slots", "rows")
 
     def __init__(self, n: int, slots: int, rows):
+        if not (isinstance(n, int) and isinstance(slots, int)) or n < 1 or slots < 0:
+            raise BadParams("need integers n >= 1 and slots >= 0")
+        try:
+            rows = [list(row) for row in rows]
+        except TypeError as exc:
+            raise BadParams("rows must be sequences of entries") from exc
+        side = n**slots
+        if len(rows) != side or any(len(r) != side for r in rows):
+            raise BadParams("matrix side must be n**slots")
+        if not all(isinstance(v, (int, Fraction)) for row in rows for v in row):
+            raise BadParams("entries must be ints or Fractions")
         self.n = n
         self.slots = slots
-        self.rows = [[Fraction(v) for v in row] for row in rows]
+        self.rows = rows
+
+    @classmethod
+    def _of(cls, n: int, slots: int, rows) -> EndoMatrix:
+        """Wraps rows built in this module, without copying or checking."""
+        m = cls.__new__(cls)
+        m.n = n
+        m.slots = slots
+        m.rows = rows
+        return m
+
+    @classmethod
+    def _of_flat(cls, n: int, slots: int, flat) -> EndoMatrix:
         side = n**slots
-        if len(self.rows) != side or any(len(r) != side for r in self.rows):
-            raise BadParams("matrix side must be n**slots")
+        rows = [flat[i : i + side] for i in range(0, len(flat), side)]
+        return cls._of(n, slots, rows)
 
     @property
     def side(self) -> int:
@@ -59,12 +89,12 @@ class EndoMatrix:
     @staticmethod
     def zero(n: int, slots: int) -> EndoMatrix:
         side = n**slots
-        return EndoMatrix(n, slots, [[0] * side for _ in range(side)])
+        return EndoMatrix._of(n, slots, [[0] * side for _ in range(side)])
 
     @staticmethod
     def identity(n: int, slots: int) -> EndoMatrix:
         side = n**slots
-        return EndoMatrix(
+        return EndoMatrix._of(
             n, slots, [[1 if i == j else 0 for j in range(side)] for i in range(side)]
         )
 
@@ -74,7 +104,7 @@ class EndoMatrix:
 
     def __add__(self, other: EndoMatrix) -> EndoMatrix:
         self._check(other)
-        return EndoMatrix(
+        return EndoMatrix._of(
             self.n,
             self.slots,
             [
@@ -84,8 +114,9 @@ class EndoMatrix:
         )
 
     def scale(self, value) -> EndoMatrix:
-        value = Fraction(value)
-        return EndoMatrix(
+        if not isinstance(value, int):
+            value = Fraction(value)
+        return EndoMatrix._of(
             self.n, self.slots, [[value * v for v in row] for row in self.rows]
         )
 
@@ -96,7 +127,7 @@ class EndoMatrix:
         # row-sparse accumulation; diagram actions have few nonzero entries
         self._check(other)
         side = self.side
-        out = [[Fraction(0)] * side for _ in range(side)]
+        out = [[0] * side for _ in range(side)]
         sparse_other = [
             [(j, v) for j, v in enumerate(row) if v] for row in other.rows
         ]
@@ -106,10 +137,10 @@ class EndoMatrix:
                 if a:
                     for j, b in sparse_other[t]:
                         target[j] += a * b
-        return EndoMatrix(self.n, self.slots, out)
+        return EndoMatrix._of(self.n, self.slots, out)
 
     def trace(self) -> Fraction:
-        return sum(self.rows[i][i] for i in range(self.side))
+        return Fraction(sum(self.rows[i][i] for i in range(self.side)))
 
     def is_zero(self) -> bool:
         return all(not v for row in self.rows for v in row)
@@ -125,7 +156,7 @@ class EndoMatrix:
     def __hash__(self):
         return hash((self.n, self.slots, tuple(tuple(r) for r in self.rows)))
 
-    def flat(self) -> list[Fraction]:
+    def flat(self) -> list[int | Fraction]:
         return [v for row in self.rows for v in row]
 
     def to_csv(self) -> str:
@@ -154,21 +185,40 @@ def _action_shape(double_rank: int, n: int):
     return slots, pinned
 
 
-def _block_labels_equal(d: Diagram, top, bot, pinned, n) -> bool:
+def _support(d: Diagram, n: int, distinct: bool = False) -> list[int]:
+    """Flat positions row * side + col of the nonzero entries of the
+    action of d, one per labelling of its blocks.
+
+    A block's weight is the sum of the place values its vertices hold
+    in the flat index (top vertex m: n**(slots - m) * side, bottom
+    vertex -m: n**(slots - m)), so a labelling lands at the sum of
+    label * weight over the blocks.  The block holding the pinned
+    column always carries the last label, n - 1.  With ``distinct`` the
+    labels are pairwise distinct, as for an orbit element.
+    """
+    slots, pinned = _action_shape(d.double_rank, n)
+    side = n**slots
+    base = 0
+    weights = []
     for block in d.blocks:
-        first = None
-        for v in block:
-            if pinned is not None and abs(v) == pinned:
-                label = n
-            elif v > 0:
-                label = top[v - 1]
-            else:
-                label = bot[-v - 1]
-            if first is None:
-                first = label
-            elif label != first:
-                return False
-    return True
+        weight = sum(
+            n ** (slots - v) * side if v > 0 else n ** (slots + v)
+            for v in block
+            if abs(v) != pinned
+        )
+        if pinned in block:
+            base = (n - 1) * weight
+        else:
+            weights.append(weight)
+    if distinct:
+        labels = permutations(range(n - 1 if pinned else n), len(weights))
+        return [base + sum(map(mul, choice, weights)) for choice in labels]
+    # product(range(n), repeat=len(weights)), one block at a time
+    positions = [base]
+    for weight in weights:
+        steps = range(0, n * weight, weight)
+        positions = [p + step for p in positions for step in steps]
+    return positions
 
 
 def phi(b: Diagram | AlgebraElement, n: int) -> EndoMatrix:
@@ -176,43 +226,29 @@ def phi(b: Diagram | AlgebraElement, n: int) -> EndoMatrix:
     if isinstance(b, AlgebraElement):
         if b.mode != Fraction(n):
             raise BadParams("element must be specialized at the same n")
-        out = EndoMatrix.zero(n, _action_shape(b.double_rank, n)[0])
+        slots = _action_shape(b.double_rank, n)[0]
+        flat = [0] * n ** (2 * slots)
         for d, c in b.terms.items():
-            out = out + phi(d, n).scale(c)
-        return out
-    slots, pinned = _action_shape(b.double_rank, n)
-    labels = _labelings(n, slots)
-    rows = [
-        [1 if _block_labels_equal(b, top, bot, pinned, n) else 0 for bot in labels]
-        for top in labels
-    ]
-    return EndoMatrix(n, slots, rows)
+            # integral coefficients enter as ints, so the matrix stays integer
+            c = c.numerator if c.denominator == 1 else c
+            for p in _support(d, n):
+                flat[p] += c
+        return EndoMatrix._of_flat(n, slots, flat)
+    return _indicator(_support(b, n), n, b.double_rank // 2)
 
 
 def phi_orbit(d: Diagram, n: int) -> EndoMatrix:
     """Action of the orbit element of d: entry 1 only when the label
-    pattern matches the blocks of d exactly."""
-    slots, pinned = _action_shape(d.double_rank, n)
-    labels = _labelings(n, slots)
+    pattern matches the blocks of d exactly (distinct labels on
+    distinct blocks)."""
+    return _indicator(_support(d, n, distinct=True), n, d.double_rank // 2)
 
-    def pattern_matches(top, bot) -> bool:
-        def label(v):
-            if pinned is not None and abs(v) == pinned:
-                return n
-            return top[v - 1] if v > 0 else bot[-v - 1]
 
-        block_values = []
-        for block in d.blocks:
-            values = {label(v) for v in block}
-            if len(values) != 1:
-                return False
-            block_values.append(values.pop())
-        return len(set(block_values)) == len(block_values)
-
-    rows = [
-        [1 if pattern_matches(top, bot) else 0 for bot in labels] for top in labels
-    ]
-    return EndoMatrix(n, slots, rows)
+def _indicator(support: list[int], n: int, slots: int) -> EndoMatrix:
+    flat = [0] * n ** (2 * slots)
+    for p in support:
+        flat[p] = 1
+    return EndoMatrix._of_flat(n, slots, flat)
 
 
 def sym_tensor_matrix(images, n: int, slots: int) -> EndoMatrix:
@@ -227,7 +263,7 @@ def sym_tensor_matrix(images, n: int, slots: int) -> EndoMatrix:
     for t, lab in enumerate(labels):
         image = tuple(images[v - 1] for v in lab)
         rows[t][position[image]] = 1
-    return EndoMatrix(n, slots, rows)
+    return EndoMatrix._of(n, slots, rows)
 
 
 def endo_eps(b: EndoMatrix, which: str) -> EndoMatrix:
@@ -241,12 +277,12 @@ def endo_eps(b: EndoMatrix, which: str) -> EndoMatrix:
     if which == "down":
         rows = [
             [
-                b.rows[i][j] if i % n == j % n else Fraction(0)
+                b.rows[i][j] if i % n == j % n else 0
                 for j in range(b.side)
             ]
             for i in range(b.side)
         ]
-        return EndoMatrix(n, slots, rows)
+        return EndoMatrix._of(n, slots, rows)
     if which in ("up", "one"):
         rows = []
         for i in range(outer):
@@ -262,7 +298,7 @@ def endo_eps(b: EndoMatrix, which: str) -> EndoMatrix:
                     total = sum(b.rows[i * n + a][j * n + a] for a in range(n))
                 row.append(total)
             rows.append(row)
-        return EndoMatrix(n, slots - 1, rows)
+        return EndoMatrix._of(n, slots - 1, rows)
     raise BadParams(f"unknown direction {which!r}")
 
 
@@ -278,7 +314,7 @@ def restrict_last(b: EndoMatrix, value: int | None = None) -> EndoMatrix:
     rows = [
         [b.rows[i * n + pin][j * n + pin] for j in range(outer)] for i in range(outer)
     ]
-    return EndoMatrix(n, b.slots - 1, rows)
+    return EndoMatrix._of(n, b.slots - 1, rows)
 
 
 def homomorphism_check(

@@ -94,3 +94,74 @@ def test_solve_right():
     assert v is not None
     assert [sum(Fraction(a) * b for a, b in zip(row, v)) for row in m] == [5, 6]
     assert solve_right([[1, 1], [1, 1]], [0, 1]) is None
+
+
+def random_low_rank(rng, rows, cols, inner, entry):
+    """A rows x cols product of random rows x inner and inner x cols
+    factors (rank at most inner), with zero rows and columns mixed in."""
+    left = [[entry() for _ in range(inner)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(inner)]
+    m = [
+        [sum(row[t] * right[t][c] for t in range(inner)) for c in range(cols)]
+        for row in left
+    ]
+    for r in rng.sample(range(rows), rows // 4):
+        m[r] = [0] * cols
+    for c in rng.sample(range(cols), cols // 4):
+        for row in m:
+            row[c] = 0
+    return m
+
+
+def rank_cases():
+    rng = random.Random(5)
+    entries = [
+        lambda: rng.randint(-3, 3),
+        lambda: rng.choice((0, 0, 1)),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+        lambda: rng.randint(-(2**64), 2**64),
+        lambda: Fraction(rng.randint(-(2**61), 2**61), rng.randint(1, 2**61)),
+    ]
+    cases = [[], [[]], [[0, 0]], [[0], [0]], [[Fraction(1, 3)]]]
+    for entry in entries:
+        for _ in range(12):
+            rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+            inner = rng.randint(0, min(rows, cols) + 1)
+            cases.append(random_low_rank(rng, rows, cols, inner, entry))
+    return cases
+
+
+def test_rank_matches_rref():
+    for m in rank_cases():
+        expected = len(rref(m)[1])
+        assert rank(m) == expected, m
+        if m and m[0]:
+            assert rank([list(col) for col in zip(*m)]) == expected, m
+
+
+def test_rank_leaves_input_alone():
+    m = [[Fraction(1, 2), 2], [1, 4]]
+    copy = [row[:] for row in m]
+    assert rank(m) == 1
+    assert m == copy
+
+
+def test_rank_and_det_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in rank_cases():
+        if m and m[0]:
+            assert rank(m) == sympy.Matrix(m).rank(), m
+    rng = random.Random(7)
+    entries = [
+        lambda: rng.randint(-8, 8),
+        lambda: rng.choice((0, 0, 0, 1)),
+        lambda: rng.randint(-(2**64), 2**64),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+    ]
+    for entry in entries:
+        for size in range(1, 8):
+            for _ in range(4):
+                m = [[entry() for _ in range(size)] for _ in range(size)]
+                if size > 2 and rng.random() < 0.3:
+                    m[-1] = [3 * a - b for a, b in zip(m[0], m[1])]
+                assert bareiss_det(m) == sympy.Matrix(m).det(), m

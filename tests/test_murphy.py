@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from partalg import murphy
 from partalg.algebra import (
     diagram_element,
     element,
@@ -331,3 +332,16 @@ def test_verify_guards():
         verify_murphy(1, [2])
     with pytest.raises(LimitExceeded):
         verify_murphy(7, [2])
+
+
+def test_verify_rejects_witness_over_side_cap_before_any_work(monkeypatch):
+    # 10**2 labelings exceed the side cap; the witness used to be skipped
+    # while the report still read ok with no spectra.
+    def no_work(double_rank):
+        raise AssertionError("family built before the witness check")
+
+    monkeypatch.setattr(murphy, "murphy_family", no_work)
+    with pytest.raises(LimitExceeded):
+        verify_murphy(4, [10])
+    with pytest.raises(LimitExceeded):
+        verify_murphy(6, [2, 5])

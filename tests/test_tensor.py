@@ -1,7 +1,8 @@
 """Tensor-power actions: matrices, kernels, conditional expectations."""
 
+import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,64 @@ def test_phi_element_and_guards():
         phi(P1, 0)
     with pytest.raises(LimitExceeded):
         phi(Diagram(14, [[i, -i] for i in range(1, 8)]), 2)
+
+
+def vertex_labelings(double_rank, n):
+    """Every pair of top and bottom labelings, row-major, as a map from
+    vertices to labels; vertices of the pinned column carry the last
+    basis index."""
+    slots = double_rank // 2
+    pinned = slots + 1 if double_rank % 2 else None
+    labelings = list(product(range(n), repeat=slots))
+    out = []
+    for top in labelings:
+        for bot in labelings:
+            label = {m + 1: top[m] for m in range(slots)}
+            label.update({-(m + 1): bot[m] for m in range(slots)})
+            if pinned is not None:
+                label[pinned] = label[-pinned] = n - 1
+            out.append(label)
+    return out
+
+
+def block_label_oracle(d, labelings):
+    """Flat entries of phi(d) and phi_orbit(d) from the definition: 1 when
+    every block carries one label, and for the orbit element when
+    distinct blocks also carry distinct labels."""
+    action, orbit = [], []
+    for label in labelings:
+        per_block = [{label[v] for v in block} for block in d.blocks]
+        constant = all(len(labels) == 1 for labels in per_block)
+        action.append(int(constant))
+        orbit.append(int(constant and len(set().union(*per_block)) == len(per_block)))
+    return action, orbit
+
+
+def test_phi_and_phi_orbit_match_block_label_oracle():
+    for dr in range(8):
+        diagrams = list(enumerate_diagrams(dr))
+        for n in (1, 2, 3):
+            labelings = vertex_labelings(dr, n)
+            for d in diagrams:
+                action, orbit = block_label_oracle(d, labelings)
+                assert phi(d, n).flat() == action, (d, n)
+                assert phi_orbit(d, n).flat() == orbit, (d, n)
+
+
+def test_phi_of_element_is_sum_of_diagram_actions():
+    rng = random.Random(3)
+    for dr in range(6):
+        diagrams = list(enumerate_diagrams(dr))
+        for n in (1, 2, 3):
+            for _ in range(5):
+                picks = rng.sample(diagrams, min(len(diagrams), rng.randint(1, 6)))
+                coeffs = {
+                    d: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for d in picks
+                }
+                expected = EndoMatrix.zero(n, dr // 2)
+                for d, c in coeffs.items():
+                    expected = expected + phi(d, n).scale(c)
+                assert phi(element(dr, coeffs, Fraction(n)), n) == expected
 
 
 def test_phi_orbit_examples():
@@ -223,6 +282,34 @@ def test_endomatrix_guards():
         sym_tensor_matrix([1, 1], 2, 1)
     with pytest.raises(LimitExceeded):
         sym_tensor_matrix([2, 1], 2, 7)
+
+
+def test_endomatrix_entries_are_ints_or_fractions():
+    for bad in ("x", None, 1.5, 1.0):
+        with pytest.raises(BadParams):
+            EndoMatrix(1, 1, [[bad]])
+    with pytest.raises(BadParams):
+        EndoMatrix(2, 1, [[1, 0], None])
+    for n, slots in (("a", 1), (None, 1), (0, 1), (2, -1), (2, 1.5)):
+        with pytest.raises(BadParams):
+            EndoMatrix(n, slots, [[1]])
+    m = EndoMatrix(2, 1, [[1, Fraction(1, 2)], [0, 3]])
+    assert m.rows == [[1, Fraction(1, 2)], [0, 3]]
+    assert type(m.rows[1][1]) is int
+    assert m.trace() == 4 and type(m.trace()) is Fraction
+    assert type(phi(P1, 2).trace()) is Fraction
+    assert type(EndoMatrix.zero(2, 1).trace()) is Fraction
+
+
+def test_commutant_dims_rank_four_at_two():
+    # Bell(8) = 4140 diagrams; the 1 + 127 with at most two blocks act
+    # independently and the orbit elements of the other 4012 span the kernel.
+    image_rank, kernel_dim, witnesses = commutant_dims(2, 8)
+    assert (image_rank, kernel_dim) == (128, 4012)
+    assert len(witnesses) == kernel_dim
+    report = bimodule_dimension_check(2, 8)
+    assert report["squared_paths"] == report["image_rank"] == image_rank
+    assert report["kernel_dim"] == kernel_dim
 
 
 def test_csv_dump_is_stable():
