@@ -24,12 +24,12 @@ from typing import Iterator, Sequence
 from .errors import (
     HalfIntegerConstraintViolated,
     IndexOutOfRange,
-    LimitExceeded,
     NonIntegerRank,
     NotAPartition,
     RankMismatch,
     VertexOutOfRange,
 )
+from .limits import check
 
 __all__ = [
     "Diagram",
@@ -184,22 +184,17 @@ def _compose_cached(d1: Diagram, d2: Diagram) -> tuple[Diagram, int]:
     k2 = columns(d1.double_rank)
     # node ids: top 0..k2-1, middle k2..2k2-1, bottom 2k2..3k2-1
     uf = _UnionFind(3 * k2)
-    for block in d1.blocks:
-        first = None
-        for v in block:
-            node = v - 1 if v > 0 else k2 + (-v) - 1
-            if first is None:
-                first = node
-            else:
-                uf.union(first, node)
-    for block in d2.blocks:
-        first = None
-        for v in block:
-            node = k2 + v - 1 if v > 0 else 2 * k2 + (-v) - 1
-            if first is None:
-                first = node
-            else:
-                uf.union(first, node)
+    for top, d in ((-1, d1), (k2 - 1, d2)):
+        # vertex m of d is node top + m, vertex -m is node bottom + m
+        bottom = top + k2
+        for block in d.blocks:
+            first = None
+            for v in block:
+                node = top + v if v > 0 else bottom - v
+                if first is None:
+                    first = node
+                else:
+                    uf.union(first, node)
     groups: dict[int, list[int]] = {}
     for node in range(3 * k2):
         groups.setdefault(uf.find(node), []).append(node)
@@ -348,16 +343,17 @@ def evaluate_word(word: Sequence[Token], double_rank: int) -> Diagram:
     return result
 
 
-def enumerate_diagrams(double_rank: int, *, max_double_rank: int = 8) -> Iterator[Diagram]:
+def enumerate_diagrams(double_rank: int) -> Iterator[Diagram]:
     """All diagrams of the rank, in restricted-growth-string order.
 
     Strings run over the vertex sequence 1,...,K,-1,...,-K; for
     half-integer rank, strings placing K and -K apart are skipped.
     """
-    if double_rank > max_double_rank:
-        raise LimitExceeded(
-            f"double rank {double_rank} above limit {max_double_rank}"
-        )
+    check("enumerate_diagrams", double_rank)
+    return _enumerate(double_rank)
+
+
+def _enumerate(double_rank: int) -> Iterator[Diagram]:
     verts = vertex_universe(double_rank)
     n = len(verts)
     if n == 0:

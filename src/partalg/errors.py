@@ -54,7 +54,7 @@ class IndexOutOfRange(PartalgError):
 
 
 class LimitExceeded(PartalgError):
-    """Requested computation exceeds the configured desk-scale cap."""
+    """Requested computation exceeds its cap in partalg.limits.LIMITS."""
 
 
 class NonIntegerRank(PartalgError):

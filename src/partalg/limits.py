@@ -1,0 +1,45 @@
+"""Size caps of every public computation, in one table.
+
+The partition algebras grow like Bell(2k), so every public entry point
+refuses a job over its cap before it allocates anything.  ``LIMITS``
+maps each entry to the largest job it starts, in the unit named beside
+it, with the cold time of the slowest call admitted at the cap (fresh
+CPython 3.11 process, 2-core x86-64 host).  The budget is 10 s a call;
+the times are for parameters of small height, which is not capped.
+"""
+
+from .errors import BadParams, LimitExceeded
+
+__all__ = ["LIMITS", "check"]
+
+LIMITS = {
+    "enumerate_diagrams": 8,  # double rank; 4140 diagrams, 0.06 s
+    "gram": 6,  # double rank; gram(6, -5/7) with det, 5.9 s
+    "gram_generic_det": 4,  # double rank; gram(4, None, "diagram"), 0.44 s
+    "matrix_units": 4,  # double rank; matrix_units(4, 5), 0.01 s
+    "basic_construction_iso": 5,  # double rank; at n = 1/2, 0.24 s
+    "radical_basis": 4,  # double rank; radical_basis(4, 2), 0.04 s
+    "specht": 4,  # double rank; specht(4, (2,)), 0.01 s
+    "symmetrize": 5,  # double rank; symmetrize(one, 5, 7/3), 1.3 s
+    "murphy_family": 7,  # double rank of Z, M and murphy_family; 0.05 s
+    "verify_murphy": 6,  # double rank; verify_murphy(6, [4]), 0.89 s
+    "verify_murphy_witness": 50,  # n of a witness; verify_murphy(3, [50]), 4.0 s
+    "sym_matrix_units": 8,  # double rank 2 * size; sym_matrix_units(4), 0.56 s
+    # n**slots of phi, phi_orbit, sym_tensor_matrix, kappa_tensor_matrix
+    # and the verify_murphy witnesses; kappa_tensor_matrix(81, 1), 1.4 s
+    "tensor_side": 81,
+    "commutant_dims": 1_059_840,  # diagrams x side**2; (2, 8), 1.5 s
+    "homomorphism_check": 41_209,  # pairs; exhaustive (2, 6), 3.5 s
+    "homomorphism_check_entries": 3_280_500,  # pairs x side**2; (81, 2, 500), 4.7 s
+}
+
+
+def check(name: str, size: int) -> int:
+    """Returns size if the entry may start a job of that size; raises
+    BadParams unless size is an int >= 0 (a bool is not) and
+    LimitExceeded over the cap."""
+    if isinstance(size, bool) or not isinstance(size, int) or size < 0:
+        raise BadParams(f"{name}: size must be a nonnegative int, not {size!r}")
+    if size > LIMITS[name]:
+        raise LimitExceeded(f"{name}: size {size} exceeds the cap {LIMITS[name]}")
+    return size

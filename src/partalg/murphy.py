@@ -31,13 +31,13 @@ from .algebra import (
 )
 from .combinatorics import build_bratteli, syt_dimension
 from .diagrams import Diagram, columns, enumerate_diagrams, generator
-from .errors import BadParams, BadSubset, LimitExceeded
+from .errors import BadParams, BadSubset
+from .limits import check
 from .linalg import rank as matrix_rank
 from .scalars import Poly
-from .tensor import EndoMatrix, _check_side, phi, sym_tensor_matrix
+from .tensor import EndoMatrix, _side, phi, sym_tensor_matrix
 
 __all__ = [
-    "MAX_DOUBLE_RANK",
     "b_s",
     "d_i",
     "p_s",
@@ -48,8 +48,6 @@ __all__ = [
     "kappa_tensor_matrix",
     "verify_murphy",
 ]
-
-MAX_DOUBLE_RANK = 7
 
 
 def _check_columns(double_rank: int, subset) -> tuple[int, ...]:
@@ -218,15 +216,6 @@ def _pinned_difference_sum(double_rank: int) -> AlgebraElement:
     return element(double_rank, {d: c for d, c in acc.items() if c})
 
 
-def _check_rank(double_rank: int) -> None:
-    if double_rank < 0:
-        raise BadParams("double rank must be nonnegative")
-    if double_rank > MAX_DOUBLE_RANK:
-        raise LimitExceeded(
-            f"double rank {double_rank} exceeds cap {MAX_DOUBLE_RANK}"
-        )
-
-
 def Z(double_rank: int) -> AlgebraElement:
     """Central element at the given rank, with generic coefficients.
 
@@ -236,7 +225,7 @@ def Z(double_rank: int) -> AlgebraElement:
     one half step down by the pinned difference sum, shifted so its
     tensor action matches the next dimension down.
     """
-    _check_rank(double_rank)
+    check("murphy_family", double_rank)
     if double_rank <= 1:
         return one(double_rank)
     x = Poly.x()
@@ -259,7 +248,7 @@ def Z(double_rank: int) -> AlgebraElement:
 def M(double_rank: int) -> AlgebraElement:
     """Member of the commuting family: the difference of consecutive
     central elements, with the two lowest ranks set to the identity."""
-    _check_rank(double_rank)
+    check("murphy_family", double_rank)
     if double_rank <= 1:
         return one(double_rank)
     return Z(double_rank) - embed(Z(double_rank - 1), double_rank)
@@ -268,29 +257,25 @@ def M(double_rank: int) -> AlgebraElement:
 def murphy_family(double_rank: int) -> list[tuple[Fraction, AlgebraElement]]:
     """All family members up to the given rank, embedded at that rank,
     as (rank, element) pairs."""
-    _check_rank(double_rank)
+    check("murphy_family", double_rank)
     return [
         (Fraction(r, 2), embed(M(r), double_rank))
         for r in range(1, double_rank + 1)
     ]
 
 
-def _transposition_images(a: int, b: int, n: int) -> tuple[int, ...]:
-    imgs = list(range(1, n + 1))
-    imgs[a - 1], imgs[b - 1] = imgs[b - 1], imgs[a - 1]
-    return tuple(imgs)
-
-
 def kappa_tensor_matrix(n: int, slots: int, *, fixed_last: bool = False) -> EndoMatrix:
     """Sum of all transposition actions on labelings, applied to every
     slot at once.  ``fixed_last`` keeps only transpositions avoiding
     the largest label."""
-    _check_side(n, slots)
+    _side(n, slots)
     top = n - 1 if fixed_last else n
     total = EndoMatrix.zero(n, slots)
     for a in range(1, top + 1):
         for b in range(a + 1, top + 1):
-            total = total + sym_tensor_matrix(_transposition_images(a, b, n), n, slots)
+            images = list(range(1, n + 1))
+            images[a - 1], images[b - 1] = b, a
+            total = total + sym_tensor_matrix(images, n, slots)
     return total
 
 
@@ -308,31 +293,19 @@ def _generator_diagrams(double_rank: int) -> list[Diagram]:
     return out
 
 
-def _shifted_rows(m: EndoMatrix, t: int) -> list[list]:
-    return [
+def _joint_nullity(mats: Sequence[EndoMatrix], values: Sequence[int]) -> int:
+    """Dimension of the common kernel of the shifts m - t."""
+    stacked = [
         [v - t if i == j else v for j, v in enumerate(row)]
+        for m, t in zip(mats, values)
         for i, row in enumerate(m.rows)
     ]
-
-
-def _nullity(m: EndoMatrix, t) -> int:
-    return m.side - matrix_rank(_shifted_rows(m, t))
-
-
-def _joint_nullity(mats: Sequence[EndoMatrix], values: Sequence[int]) -> int:
-    stacked: list[list] = []
-    for m, t in zip(mats, values):
-        stacked.extend(_shifted_rows(m, t))
     return mats[0].side - matrix_rank(stacked)
 
 
 def _measured_spectrum(m: EndoMatrix, window: range) -> dict[int, int]:
-    found: dict[int, int] = {}
-    for t in window:
-        nu = _nullity(m, t)
-        if nu:
-            found[t] = nu
-    return found
+    nullities = {t: _joint_nullity([m], [t]) for t in window}
+    return {t: nu for t, nu in nullities.items() if nu}
 
 
 def _added_box(smaller, larger) -> tuple[int, int]:
@@ -453,15 +426,18 @@ def verify_murphy(double_rank: int, n_witnesses: Sequence[int]) -> dict:
     identity against transposition sums for each witness, and the
     joint spectra of the family on labelings against box-content
     predictions with measured boundary offsets.  Raises LimitExceeded,
-    before any work, when a witness's tensor side at this rank is over
-    the cap, so every witness is checked in full.
+    before any work, when a witness or its tensor side at this rank is
+    over its cap, so every witness is checked in full.
     """
-    if double_rank < 2:
+    if check("verify_murphy", double_rank) < 2:
         raise BadParams("need double rank at least 2")
-    if double_rank > 6:
-        raise LimitExceeded("family checks are capped at double rank 6")
+    try:
+        n_witnesses = list(n_witnesses)
+    except TypeError:
+        raise BadParams(f"witnesses must be a list of n, not {n_witnesses!r}") from None
     for n in n_witnesses:
-        _check_side(n, double_rank // 2)
+        _side(n, double_rank // 2)
+        check("verify_murphy_witness", n)
 
     family = murphy_family(double_rank)
     commuting = {"pairs": 0, "failures": []}

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DenominatorVanishes
+from .errors import BadParams, DenominatorVanishes
 
 __all__ = [
     "Poly",
@@ -37,12 +37,16 @@ __all__ = [
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
-    """Parses "p", "p/q", an int, or a Fraction into a reduced Fraction."""
+    """Parses "p", "p/q", an int, or a Fraction into a reduced Fraction;
+    anything else raises BadParams."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except (ValueError, ZeroDivisionError):
+        raise BadParams(f"not a rational number: {text!r}") from None
 
 
 def rational_str(value: Fraction | int) -> str:
@@ -89,9 +93,6 @@ class Poly:
         if not self.coeffs:
             return Fraction(0)
         return self.coeffs[-1]
-
-    def is_const(self) -> bool:
-        return len(self.coeffs) <= 1
 
     def const_value(self) -> Fraction:
         if len(self.coeffs) > 1:

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm, prod
 from typing import Sequence
 
 from .algebra import (
@@ -56,7 +56,6 @@ from .errors import (
     BadShape,
     DegenerateForm,
     DenominatorVanishes,
-    LimitExceeded,
     ModeMismatch,
     NonIntegerRank,
     NotSemisimple,
@@ -64,8 +63,9 @@ from .errors import (
     PartalgError,
     VertexNotFound,
 )
+from .limits import check
 from .linalg import bareiss_det, invert, rank as matrix_rank, rref
-from .scalars import Poly, RatFunc, Scalar
+from .scalars import Poly, RatFunc, Scalar, parse_rational
 from .symgroup import MatrixUnitSystem, sym_matrix_units, young_elements
 
 __all__ = [
@@ -83,9 +83,6 @@ __all__ = [
     "specht",
     "symmetrize",
 ]
-
-MAX_GRAM_SIDE = 203
-
 
 @lru_cache(maxsize=None)
 def _basis(double_rank: int) -> tuple[Diagram, ...]:
@@ -201,18 +198,16 @@ def gram(
     """Gram matrix of the chosen trace form on the diagram basis.
 
     Entries are exact: polynomials in generic mode, rationals at a
-    numeric parameter.  The determinant uses fraction-free elimination;
-    generic determinants are limited to double rank 4, numeric ones to
-    matrices of side at most 203.
+    numeric parameter.  The determinant uses fraction-free elimination,
+    over Z at a numeric parameter once each row is scaled to integers.
+    The double rank is capped in partalg.limits.
     """
+    check("gram", double_rank)
+    if want_det and n is None:
+        check("gram_generic_det", double_rank)
     if trace_kind not in ("regular", "diagram"):
         raise BadParams(f"unknown trace kind {trace_kind!r}")
-    side = counting("bell", double_rank)
-    if side > MAX_GRAM_SIDE:
-        raise LimitExceeded(f"Gram side {side} exceeds {MAX_GRAM_SIDE}")
-    if want_det and n is None and double_rank > 4:
-        raise LimitExceeded("generic determinants stop at double rank 4")
-    mode = None if n is None else Fraction(n)
+    mode = None if n is None else parse_rational(n)
     basis = _basis(double_rank)
     if trace_kind == "regular":
         values = {d: _at(_regular_value(d), mode) for d in basis}
@@ -233,27 +228,26 @@ def gram(
         if mode is None:
             det = bareiss_det([list(row) for row in matrix])
         else:
-            # integer parameters give integer entries; eliminate over Z
-            if all(v.denominator == 1 for row in matrix for v in row):
-                det = Fraction(bareiss_det([[int(v) for v in row] for row in matrix]))
-            else:
-                det = bareiss_det([list(row) for row in matrix])
+            # det M = det(D M) / det D, with D scaling each row to integers
+            dens = [lcm(*(v.denominator for v in row)) for row in matrix]
+            rows = [[v.numerator * d // v.denominator for v in r] for r, d in zip(matrix, dens)]
+            det = Fraction(bareiss_det(rows), prod(dens))
     return GramReport(double_rank, mode, trace_kind, basis, matrix, det)
 
 
 def semisimple_verdict(double_rank: int, n: int) -> dict:
     """Compares the parameter-range criterion with the exact
     regular-trace Gram determinant; returns both routes."""
-    if int(n) != n or n < 2:
+    point = parse_rational(n)
+    if point.denominator != 1 or point < 2:
         raise BadParams("verdict needs an integer parameter n >= 2")
-    if double_rank > 6:
-        raise LimitExceeded("Gram route stops at double rank 6")
-    by_theorem = double_rank <= int(n) + 1
-    det = gram(double_rank, int(n), "regular").det
+    n = int(point)
+    det = gram(double_rank, n, "regular").det
+    by_theorem = double_rank <= n + 1
     by_gram = det != 0
     return {
         "double_rank": double_rank,
-        "n": int(n),
+        "n": n,
         "verdict": by_gram,
         "by_theorem": by_theorem,
         "by_gram": by_gram,
@@ -287,7 +281,7 @@ def eps_ratio(double_level: int, mu, lam, n=None) -> Scalar:
     if n is None:
         ratio = RatFunc(num, den)
         return ratio.num if ratio.den == Poly.const(1) else ratio
-    point = Fraction(n)
+    point = parse_rational(n)
     den_value = den(point)
     if den_value == 0:
         raise DenominatorVanishes(
@@ -366,19 +360,16 @@ def matrix_units(double_rank: int, n) -> MatrixUnitSystem:
     central idempotent.  Vanishing lower weights make the division
     impossible, which is exactly the non-semisimple boundary.
     """
-    if not 0 <= double_rank <= 4:
-        raise LimitExceeded("matrix units stop at double rank 4")
-    return _build_units(double_rank, Fraction(n))
+    check("matrix_units", double_rank)
+    return _build_units(double_rank, parse_rational(n))
 
 
 def char_decomposition_check(double_rank: int, n) -> dict:
     """Expands every basis diagram in the matrix-unit basis and checks
     that the diagram trace equals the weight-by-multiplicity sum of the
     block characters."""
-    if not 0 <= double_rank <= 4:
-        raise LimitExceeded("decomposition check stops at double rank 4")
-    point = Fraction(n)
-    system = matrix_units(double_rank, point)
+    system = matrix_units(double_rank, n)
+    point = system.mode
     basis = _basis(double_rank)
     keys = system.index
     table = [
@@ -430,9 +421,9 @@ def basic_construction_iso(
     through the half-step conditional expectation on sampled
     quadruples.
     """
-    if not 2 <= double_rank <= 5:
-        raise LimitExceeded("basic construction checks run at double ranks 2..5")
-    point = Fraction(n)
+    if check("basic_construction_iso", double_rank) < 2:
+        raise BadParams("basic construction checks start at double rank 2")
+    point = parse_rational(n)
     t = double_rank
     half_basis = _basis(t - 1)
     hb = [diagram_element(d, 1, point) for d in half_basis]
@@ -529,9 +520,9 @@ def radical_basis(double_rank: int, n) -> list[AlgebraElement]:
     ratio vanishes then span the radical.  The span is validated
     nilpotent before it is returned.
     """
-    if not 2 <= double_rank <= 4:
-        raise LimitExceeded("radical basis stops at double rank 4")
-    point = Fraction(n)
+    if check("radical_basis", double_rank) < 2:
+        raise BadParams("radical bases start at double rank 2")
+    point = parse_rational(n)
     t = double_rank
     graph = _graph(t)
     for s in range(1, t - 1):
@@ -575,10 +566,8 @@ def radical_basis(double_rank: int, n) -> list[AlgebraElement]:
 def specht(double_rank: int, lam, witness_n: int | None = None) -> dict:
     """Cell module of the vertex lam: rank of the right multiplication
     image modulo low-propagating diagrams, against the walk count."""
-    if double_rank % 2:
+    if check("specht", double_rank) % 2:
         raise NonIntegerRank("cell modules are built at integer ranks")
-    if double_rank > 4:
-        raise LimitExceeded("cell modules stop at double rank 4")
     ell = double_rank // 2
     try:
         parts = tuple(int(v) for v in lam)
@@ -588,8 +577,9 @@ def specht(double_rank: int, lam, witness_n: int | None = None) -> dict:
     m = sum(parts)
     if m > ell:
         raise BadShape(f"{parts} has more than {ell} boxes")
-    witness = 2 * ell if witness_n is None else int(witness_n)
-    point = Fraction(witness)
+    point = parse_rational(2 * ell if witness_n is None else witness_n)
+    if point.denominator != 1:
+        raise BadParams(f"witness n must be an integer, not {witness_n!r}")
     _, _, _, product = young_elements(parts, m)
     e = embed(product, double_rank)
     for j in range(m + 1, ell + 1):
@@ -608,7 +598,7 @@ def specht(double_rank: int, lam, witness_n: int | None = None) -> dict:
     return {
         "double_rank": double_rank,
         "lam": parts,
-        "witness_n": witness,
+        "witness_n": int(point),
         "rank": image_rank,
         "path_count": walks,
         "psi_nonzero": psi_nonzero,
@@ -626,11 +616,10 @@ def symmetrize(
     basis of the regular trace form.  The result is central; it does
     not depend on the basis choice, which the optional argument lets
     tests exercise."""
-    point = Fraction(n)
+    check("symmetrize", double_rank)
+    point = parse_rational(n)
     if a.double_rank != double_rank:
         raise BadParams("element rank differs from the requested rank")
-    if counting("bell", double_rank) > 52:
-        raise LimitExceeded("averaging stops at double rank 5")
     if a.mode is None:
         a = specialize(a, point)
     elif a.mode != point:

@@ -15,6 +15,7 @@ from itertools import permutations, product
 from .algebra import AlgebraElement, Mode, diagram_element, multiply, one, zero
 from .diagrams import permutation_diagram
 from .errors import DegenerateEigenvalues, SizeMismatch
+from .limits import check
 
 __all__ = [
     "Permutation",
@@ -292,12 +293,13 @@ def _jm_element(i: int, size: int, mode: Mode) -> AlgebraElement:
 
 @lru_cache(maxsize=None)
 def sym_matrix_units(size: int, mode: Mode = None) -> MatrixUnitSystem:
-    """Matrix units for the group algebra of S_size, size <= 4.
+    """Matrix units for the group algebra of S_size; partalg.limits caps 2 * size.
 
     Diagonal units come from interpolating each X_i at the content of i;
     off-diagonal units are conjugates through the first tableau of each
     shape, with the left factor rescaled to make the products exact.
     """
+    check("sym_matrix_units", 2 * size if type(size) is int else size)
     from .combinatorics import partitions_of
 
     shapes = [tuple(p) for p in partitions_of(size)]

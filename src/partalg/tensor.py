@@ -14,14 +14,16 @@ exact, with int or Fraction entries.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import permutations, product
 from operator import mul
 
 from .algebra import AlgebraElement, multiply
-from .combinatorics import build_bratteli, syt_dimension
+from .combinatorics import build_bratteli, counting, syt_dimension
 from .diagrams import Diagram, columns, enumerate_diagrams
-from .errors import BadParams, LimitExceeded, PartalgError, RankMismatch
+from .errors import BadParams, PartalgError, RankMismatch
+from .limits import check
 from .linalg import rank as matrix_rank
 
 __all__ = [
@@ -36,9 +38,6 @@ __all__ = [
     "bimodule_dimension_check",
 ]
 
-MAX_SIDE = 81
-
-
 class EndoMatrix:
     """Endomorphism of the slots-fold tensor power of an n-space.
 
@@ -52,13 +51,11 @@ class EndoMatrix:
     __slots__ = ("n", "slots", "rows")
 
     def __init__(self, n: int, slots: int, rows):
-        if not (isinstance(n, int) and isinstance(slots, int)) or n < 1 or slots < 0:
-            raise BadParams("need integers n >= 1 and slots >= 0")
+        side = _side(n, slots)
         try:
             rows = [list(row) for row in rows]
         except TypeError as exc:
             raise BadParams("rows must be sequences of entries") from exc
-        side = n**slots
         if len(rows) != side or any(len(r) != side for r in rows):
             raise BadParams("matrix side must be n**slots")
         if not all(isinstance(v, (int, Fraction)) for row in rows for v in row):
@@ -166,23 +163,19 @@ class EndoMatrix:
         return f"<EndoMatrix n={self.n} slots={self.slots}>"
 
 
-def _labelings(n: int, slots: int):
-    return list(product(range(1, n + 1), repeat=slots))
-
-
-def _check_side(n: int, slots: int) -> None:
-    if n**slots > MAX_SIDE:
-        raise LimitExceeded(f"side {n}**{slots} exceeds cap {MAX_SIDE}")
+def _side(n: int, slots: int) -> int:
+    """n**slots, checked against the limits table; slots is checked first
+    (n**slots > slots once n >= 2), so no huge power is ever built."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise BadParams(f"need an integer n >= 1, not {n!r}")
+    check("tensor_side", slots)
+    return check("tensor_side", n**slots)
 
 
 def _action_shape(double_rank: int, n: int):
-    if n < 1:
-        raise BadParams("need at least one basis vector")
-    k2 = columns(double_rank)
     slots = double_rank // 2
-    pinned = k2 if double_rank % 2 == 1 else None
-    _check_side(n, slots)
-    return slots, pinned
+    _side(n, slots)
+    return slots, columns(double_rank) if double_rank % 2 == 1 else None
 
 
 def _support(d: Diagram, n: int, distinct: bool = False) -> list[int]:
@@ -224,9 +217,9 @@ def _support(d: Diagram, n: int, distinct: bool = False) -> list[int]:
 def phi(b: Diagram | AlgebraElement, n: int) -> EndoMatrix:
     """Matrix of the diagram action; linear over specialized elements."""
     if isinstance(b, AlgebraElement):
-        if b.mode != Fraction(n):
-            raise BadParams("element must be specialized at the same n")
         slots = _action_shape(b.double_rank, n)[0]
+        if b.mode != n:
+            raise BadParams("element must be specialized at the same n")
         flat = [0] * n ** (2 * slots)
         for d, c in b.terms.items():
             # integral coefficients enter as ints, so the matrix stays integer
@@ -253,10 +246,10 @@ def _indicator(support: list[int], n: int, slots: int) -> EndoMatrix:
 
 def sym_tensor_matrix(images, n: int, slots: int) -> EndoMatrix:
     """Diagonal permutation action: relabels every tensor slot."""
+    _side(n, slots)
     if sorted(images) != list(range(1, n + 1)):
         raise BadParams("images must be a bijection of 1..n")
-    _check_side(n, slots)
-    labels = _labelings(n, slots)
+    labels = list(product(range(1, n + 1), repeat=slots))
     position = {lab: t for t, lab in enumerate(labels)}
     side = len(labels)
     rows = [[0] * side for _ in range(side)]
@@ -284,20 +277,12 @@ def endo_eps(b: EndoMatrix, which: str) -> EndoMatrix:
         ]
         return EndoMatrix._of(n, slots, rows)
     if which in ("up", "one"):
-        rows = []
-        for i in range(outer):
-            row = []
-            for j in range(outer):
-                if which == "up":
-                    total = sum(
-                        b.rows[i * n + a][j * n + c]
-                        for a in range(n)
-                        for c in range(n)
-                    )
-                else:
-                    total = sum(b.rows[i * n + a][j * n + a] for a in range(n))
-                row.append(total)
-            rows.append(row)
+        # "up" sums every pair of last labels, "one" the equal pairs
+        last = [(a, c) for a in range(n) for c in range(n) if which == "up" or a == c]
+        rows = [
+            [sum(b.rows[i * n + a][j * n + c] for a, c in last) for j in range(outer)]
+            for i in range(outer)
+        ]
         return EndoMatrix._of(n, slots - 1, rows)
     raise BadParams(f"unknown direction {which!r}")
 
@@ -325,16 +310,19 @@ def homomorphism_check(
     seed: int = 0,
 ) -> dict:
     """Compares the action of every product with the product of the
-    actions; exhaustive over basis pairs unless a sample count is given."""
+    actions; exhaustive over basis pairs unless a sample count is given.
+    Only the diagrams that occur in some pair get their action built."""
+    check("enumerate_diagrams", double_rank)
+    side = _side(n, double_rank // 2)
+    count = counting("bell", double_rank) ** 2 if samples is None else samples
+    check("homomorphism_check_entries", check("homomorphism_check", count) * side**2)
     basis = list(enumerate_diagrams(double_rank))
     if samples is None:
         pairs = [(a, b) for a in basis for b in basis]
     else:
-        import random
-
         rng = random.Random(seed)
         pairs = [(rng.choice(basis), rng.choice(basis)) for _ in range(samples)]
-    matrices = {d: phi(d, n) for d in basis}
+    matrices = {d: phi(d, n) for d in {d for pair in pairs for d in pair}}
     mode = Fraction(n)
     failures = []
     for d1, d2 in pairs:
@@ -351,6 +339,9 @@ def commutant_dims(n: int, double_rank: int) -> tuple[int, int, list[Diagram]]:
     """Rank of the span of the diagram actions, the kernel dimension,
     and the diagrams whose orbit elements span the kernel (those with
     more than n blocks; each is checked to act by zero)."""
+    check("enumerate_diagrams", double_rank)
+    side = _side(n, double_rank // 2)
+    check("commutant_dims", counting("bell", double_rank) * side**2)
     basis = list(enumerate_diagrams(double_rank))
     vectors = [phi(d, n).flat() for d in basis]
     image_rank = matrix_rank(vectors)
@@ -366,6 +357,7 @@ def bimodule_dimension_check(n: int, double_rank: int) -> dict:
     """Dimension bookkeeping for the joint symmetric-group/diagram
     action: weighted path counts against the tensor dimension and
     squared path counts against the image rank."""
+    image_rank, kernel_dim, _ = commutant_dims(n, double_rank)
     graph = build_bratteli("concrete", double_rank, n)
     level = graph.levels[double_rank]
     weighted = 0
@@ -374,7 +366,6 @@ def bimodule_dimension_check(n: int, double_rank: int) -> dict:
         paths = graph.path_count(double_rank, shape)
         weighted += syt_dimension(shape) * paths
         squared += paths * paths
-    image_rank, kernel_dim, _ = commutant_dims(n, double_rank)
     slots = double_rank // 2
     return {
         "tensor_dim": n**slots,

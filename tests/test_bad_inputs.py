@@ -1,0 +1,135 @@
+"""Bad parameters raise only PartalgError: pinned cases, then a seeded
+fuzz over the size and parameter arguments of the public entries."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from partalg import diagrams, murphy, structure, symgroup, tensor
+from partalg.algebra import one
+from partalg.diagrams import Diagram, enumerate_diagrams
+from partalg.errors import BadParams, PartalgError
+from partalg.scalars import parse_rational
+
+P1 = Diagram(2, [[1], [-1]])
+
+
+@pytest.mark.parametrize("text", ["x", "1/0", None, "nan", 1.5j])
+def test_parse_rational_refuses_non_rationals(text):
+    with pytest.raises(BadParams):
+        parse_rational(text)
+
+
+NOT_RATIONAL = {
+    "gram": lambda: structure.gram(2, "x"),
+    "eps_ratio": lambda: structure.eps_ratio(2, (), (1,), "x"),
+    "matrix_units": lambda: structure.matrix_units(2, "x"),
+    "char_decomposition_check": lambda: structure.char_decomposition_check(2, "x"),
+    "basic_construction_iso": lambda: structure.basic_construction_iso(2, "x"),
+    "radical_basis": lambda: structure.radical_basis(4, "a"),
+    "symmetrize": lambda: structure.symmetrize(one(2, Fraction(3)), 2, "x"),
+    "specht": lambda: structure.specht(4, (1,), "x"),
+    "specht_fractional_witness": lambda: structure.specht(4, (1,), 2.5),
+    "semisimple_verdict": lambda: structure.semisimple_verdict(2, "x"),
+}
+
+
+@pytest.mark.parametrize("call", NOT_RATIONAL.values(), ids=NOT_RATIONAL.keys())
+def test_parameters_that_are_not_rationals(call):
+    with pytest.raises(BadParams):
+        call()
+
+
+OUT_OF_DOMAIN = {
+    # these used to return or leak another exception
+    "enumerate_diagrams(-2)": lambda: list(enumerate_diagrams(-2)),  # yielded Diagram(0, ())
+    "commutant_dims(2, -1)": lambda: tensor.commutant_dims(2, -1),  # returned (1, 0, [])
+    "Z(2.5)": lambda: murphy.Z(2.5),  # leaked TypeError
+    "kappa_tensor_matrix(0, 2)": lambda: murphy.kappa_tensor_matrix(0, 2),  # n = 0 matrix
+    # lower bounds are domain checks, not caps
+    "basic_construction_iso(1, 3)": lambda: structure.basic_construction_iso(1, 3),
+    "radical_basis(1, 3)": lambda: structure.radical_basis(1, 3),
+    "matrix_units(-1, 3)": lambda: structure.matrix_units(-1, 3),
+}
+
+
+@pytest.mark.parametrize("call", OUT_OF_DOMAIN.values(), ids=OUT_OF_DOMAIN.keys())
+def test_ranks_out_of_the_domain(call):
+    with pytest.raises(BadParams):
+        call()
+
+
+def test_enumerate_checks_at_the_call():
+    with pytest.raises(BadParams):
+        enumerate_diagrams(-2)
+
+
+def _bad_values(rng: random.Random) -> list:
+    return [
+        None,
+        "x",
+        str(rng.randint(2, 5)),
+        rng.uniform(-5, 5),
+        float("nan"),
+        -rng.randint(1, 10**6),
+        10 ** rng.randint(12, 40),
+    ]
+
+
+def _entry(name, fn, valid, positions, **kwargs):
+    return pytest.param(fn, valid, positions, id=name, **kwargs)
+
+
+# function, valid arguments, positions to replace with bad values
+ENTRIES = [
+    _entry("enumerate_diagrams", lambda r: list(diagrams.enumerate_diagrams(r)), (2,), (0,)),
+    _entry("gram", structure.gram, (2, 3), (0, 1)),
+    _entry("semisimple_verdict", structure.semisimple_verdict, (2, 3), (0, 1)),
+    _entry("matrix_units", structure.matrix_units, (2, 3), (0, 1)),
+    _entry("char_decomposition_check", structure.char_decomposition_check, (2, 3), (0, 1)),
+    _entry("basic_construction_iso", structure.basic_construction_iso, (2, 3), (0, 1)),
+    _entry("radical_basis", structure.radical_basis, (2, 0), (0, 1)),
+    _entry("specht", structure.specht, (2, (1,), 3), (0, 2)),
+    _entry(
+        "specht(4, ())",
+        structure.specht,
+        (4, ()),
+        (),
+        marks=pytest.mark.xfail(
+            strict=True, raises=IndexError, reason="column_reading_tableau of ()"
+        ),
+    ),
+    _entry("symmetrize", structure.symmetrize, (one(2, Fraction(3)), 2, 3), (1, 2)),
+    _entry("Z", murphy.Z, (2,), (0,)),
+    _entry("M", murphy.M, (2,), (0,)),
+    _entry("murphy_family", murphy.murphy_family, (2,), (0,)),
+    _entry("kappa_tensor_matrix", murphy.kappa_tensor_matrix, (2, 2), (0, 1)),
+    _entry("verify_murphy", murphy.verify_murphy, (2, [2]), (0, 1)),
+    _entry("verify_murphy_witness", lambda r, n: murphy.verify_murphy(r, [n]), (2, 2), (1,)),
+    _entry("sym_matrix_units", symgroup.sym_matrix_units, (2,), (0,)),
+    _entry("phi", tensor.phi, (P1, 2), (1,)),
+    _entry("phi_orbit", tensor.phi_orbit, (P1, 2), (1,)),
+    _entry("sym_tensor_matrix", tensor.sym_tensor_matrix, ([2, 1], 2, 1), (1, 2)),
+    _entry("homomorphism_check", tensor.homomorphism_check, (2, 2, 4), (0, 1, 2)),
+    _entry("commutant_dims", tensor.commutant_dims, (2, 2), (0, 1)),
+    _entry("bimodule_dimension_check", tensor.bimodule_dimension_check, (2, 2), (0, 1)),
+]
+
+
+def _only_partalg_errors(fn, args) -> None:
+    try:
+        fn(*args)
+    except PartalgError:
+        pass
+
+
+@pytest.mark.parametrize("fn, valid, positions", ENTRIES)
+def test_fuzzed_parameters_raise_only_partalg_errors(fn, valid, positions):
+    rng = random.Random(20040113)
+    _only_partalg_errors(fn, valid)
+    for position in positions:
+        for bad in _bad_values(rng):
+            args = list(valid)
+            args[position] = bad
+            _only_partalg_errors(fn, args)

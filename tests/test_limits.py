@@ -1,0 +1,147 @@
+"""The limits table: every entry refuses the first job past its cap
+before it allocates, and admits the sizes the benchmark runs."""
+
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+
+from partalg import structure
+from partalg.algebra import one
+from partalg.diagrams import Diagram, enumerate_diagrams
+from partalg.errors import BadParams, LimitExceeded
+from partalg.limits import LIMITS, check
+from partalg.murphy import M, Z, kappa_tensor_matrix, murphy_family, verify_murphy
+from partalg.structure import (
+    basic_construction_iso,
+    char_decomposition_check,
+    gram,
+    matrix_units,
+    radical_basis,
+    specht,
+    symmetrize,
+)
+from partalg.symgroup import sym_matrix_units
+from partalg.tensor import (
+    bimodule_dimension_check,
+    commutant_dims,
+    homomorphism_check,
+    phi,
+    phi_orbit,
+    sym_tensor_matrix,
+)
+
+CAP = LIMITS
+SIDE = CAP["tensor_side"] + 1
+# Built before any allocation is traced.
+ONE_PAST_SYMMETRIZE = one(CAP["symmetrize"] + 1, Fraction(3))
+P1 = Diagram(2, [[1], [-1]])
+
+# For each entry, the calls that ask for the first job past its cap,
+# in the entry's unit.
+PAST_CAP = {
+    "enumerate_diagrams": [lambda: enumerate_diagrams(CAP["enumerate_diagrams"] + 1)],
+    "gram": [lambda: gram(CAP["gram"] + 1, 3)],
+    "gram_generic_det": [lambda: gram(CAP["gram_generic_det"] + 1, None)],
+    "matrix_units": [lambda: matrix_units(CAP["matrix_units"] + 1, 3)],
+    "basic_construction_iso": [
+        lambda: basic_construction_iso(CAP["basic_construction_iso"] + 1, 3)
+    ],
+    "radical_basis": [lambda: radical_basis(CAP["radical_basis"] + 1, 2)],
+    "specht": [lambda: specht(CAP["specht"] + 1, ())],
+    "symmetrize": [
+        lambda: symmetrize(ONE_PAST_SYMMETRIZE, CAP["symmetrize"] + 1, 3)
+    ],
+    "murphy_family": [
+        lambda: Z(CAP["murphy_family"] + 1),
+        lambda: M(CAP["murphy_family"] + 1),
+        lambda: murphy_family(CAP["murphy_family"] + 1),
+    ],
+    "verify_murphy": [lambda: verify_murphy(CAP["verify_murphy"] + 1, [2])],
+    "verify_murphy_witness": [
+        lambda: verify_murphy(2, [CAP["verify_murphy_witness"] + 1])
+    ],
+    # the unit is the double rank 2 * size, so the next job is size + 1
+    "sym_matrix_units": [lambda: sym_matrix_units(CAP["sym_matrix_units"] // 2 + 1)],
+    "tensor_side": [
+        lambda: phi(P1, SIDE),
+        lambda: phi_orbit(P1, SIDE),
+        lambda: sym_tensor_matrix(list(range(1, SIDE + 1)), SIDE, 1),
+        lambda: kappa_tensor_matrix(SIDE, 1),
+        lambda: verify_murphy(2, [SIDE]),
+    ],
+    # the next diagram count x side**2 above (2, 8) with side <= 81
+    "commutant_dims": [lambda: commutant_dims(4, 7), lambda: commutant_dims(3, 8)],
+    "homomorphism_check": [
+        lambda: homomorphism_check(1, 6, CAP["homomorphism_check"] + 1)
+    ],
+    "homomorphism_check_entries": [
+        lambda: homomorphism_check(81, 2, CAP["homomorphism_check_entries"] // 81**2 + 1)
+    ],
+}
+
+
+def test_every_entry_has_a_past_cap_call():
+    assert PAST_CAP.keys() == LIMITS.keys()
+
+
+@pytest.mark.parametrize("name", LIMITS)
+def test_one_past_the_cap_raises_before_allocating(name):
+    for call in PAST_CAP[name]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitExceeded, match=f"^{name}: "):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_jobs_over_the_time_budget_are_refused():
+    with pytest.raises(LimitExceeded):
+        sym_matrix_units(5)
+    with pytest.raises(LimitExceeded):
+        commutant_dims(3, 8)
+    with pytest.raises(LimitExceeded):
+        homomorphism_check(2, 7)
+    with pytest.raises(LimitExceeded):
+        verify_murphy(2, [81])
+
+
+def test_check_takes_only_nonnegative_ints():
+    assert check("specht", 0) == 0
+    assert check("specht", CAP["specht"]) == CAP["specht"]
+    for bad in (-1, 2.0, "2", None, True):
+        with pytest.raises(BadParams):
+            check("specht", bad)
+    with pytest.raises(KeyError):
+        check("no such entry", 1)
+
+
+def test_benchmark_sizes_are_admitted(monkeypatch):
+    assert verify_murphy(6, [2, 3])["ok"]
+    assert sym_matrix_units(4).double_rank == 8
+    assert gram(4, None).det is not None
+    for n in (3, 4, 5):
+        assert char_decomposition_check(4, n)["ok"]
+    for lam in ((1,), (2,), (1, 1)):
+        assert specht(4, lam)["ok"]
+    for rank, n in ((2, 0), (3, 1), (4, 2)):
+        assert isinstance(radical_basis(rank, n), list)
+    assert not symmetrize(one(4, Fraction(3)), 4, 3).is_zero()
+    assert bimodule_dimension_check(2, 7)["image_rank"] > 0
+    for rank in (4, 5):
+        assert phi(next(iter(enumerate_diagrams(rank))), 3).side == 9
+
+    # semisimple_verdict(6, n) takes seconds; stop it at its first work
+    class Admitted(Exception):
+        pass
+
+    def first_work(double_rank):
+        raise Admitted
+
+    monkeypatch.setattr(structure, "_basis", first_work)
+    for n in (2, 3, 4, 5):
+        with pytest.raises(Admitted):
+            structure.semisimple_verdict(6, n)

@@ -17,10 +17,10 @@ from partalg.algebra import (
 )
 from partalg.diagrams import Diagram, enumerate_diagrams, identity_diagram
 from partalg.errors import BadParams, BadSubset, LimitExceeded
+from partalg.limits import LIMITS
 from partalg.linalg import rank as matrix_rank
 from partalg.murphy import (
     M,
-    MAX_DOUBLE_RANK,
     Z,
     b_s,
     d_i,
@@ -137,11 +137,12 @@ def test_central_element_conventions_and_cap():
     assert Z(1) == one(1)
     assert M(0) == one(0)
     assert M(1) == one(1)
-    assert MAX_DOUBLE_RANK == 7
+    cap = LIMITS["murphy_family"]
+    assert cap == 7
     with pytest.raises(LimitExceeded):
-        Z(8)
+        Z(cap + 1)
     with pytest.raises(LimitExceeded):
-        M(8)
+        M(cap + 1)
     with pytest.raises(BadParams):
         Z(-1)
 

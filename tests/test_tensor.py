@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partalg import tensor
 from partalg.algebra import (
     coarsenings,
     diagram_element,
@@ -163,6 +164,22 @@ def test_homomorphism_exhaustive():
         report = homomorphism_check(n, dr)
         assert report["pairs"] == pairs
         assert report["failures"] == []
+
+
+def test_sampled_homomorphism_check_acts_only_on_sampled_diagrams(monkeypatch):
+    built = []
+    original = tensor.phi
+
+    def recording_phi(b, n):
+        if isinstance(b, Diagram):
+            built.append(b)
+        return original(b, n)
+
+    monkeypatch.setattr(tensor, "phi", recording_phi)
+    report = homomorphism_check(3, 8, samples=20, seed=1)
+    assert report["failures"] == []
+    # at most two diagrams per pair, not all 4140 of the basis
+    assert len(built) <= 40
 
 
 def test_homomorphism_sampled_and_projection_rule():
