@@ -220,20 +220,60 @@ def zero(double_rank: int, mode: Mode = None) -> AlgebraElement:
 
 def _param_power(mode: Mode, r: int):
     if mode is None:
-        return Poly.x() ** r
+        return Poly((0,) * r + (1,))
     return mode**r
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Bilinear extension of d1 d2 = x^r (d1 composed over d2)."""
+    """Bilinear extension of d1 d2 = x^r (d1 composed over d2).
+
+    When both factors are generic and hold only Poly coefficients, each
+    term pair adds the convolution of its two coefficient tuples,
+    shifted up by r places for the factor x^r, into one list per output
+    diagram, and each output diagram gets one Poly at the end.
+    Specialized factors, and generic ones holding a RatFunc, multiply
+    scalars pair by pair, reading n^r (or x^r) from a table filled once
+    per call and skipping the factor when r = 0.
+    """
     a._check_compatible(b)
+    if a.mode is None and not any(
+        isinstance(c, RatFunc) for terms in (a.terms, b.terms) for c in terms.values()
+    ):
+        return _multiply_poly(a, b)
+    powers: dict[int, Scalar] = {}
     out: dict[Diagram, Scalar] = {}
     for d1, c1 in a.terms.items():
         for d2, c2 in b.terms.items():
             d, r = compose(d1, d2)
-            contrib = c1 * c2 * _param_power(a.mode, r)
+            contrib = c1 * c2
+            if r:
+                power = powers.get(r)
+                if power is None:
+                    power = powers[r] = _param_power(a.mode, r)
+                contrib = contrib * power
             out[d] = out.get(d, 0) + contrib
     return AlgebraElement(a.double_rank, out, a.mode)
+
+
+def _multiply_poly(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    sums: dict[Diagram, list] = {}
+    right = [(d2, c2.coeffs) for d2, c2 in b.terms.items()]
+    for d1, c1 in a.terms.items():
+        left = [(i, u) for i, u in enumerate(c1.coeffs) if u]
+        for d2, q in right:
+            d, r = compose(d1, d2)
+            acc = sums.get(d)
+            size = r + len(c1.coeffs) + len(q) - 1
+            if acc is None:
+                acc = sums[d] = [0] * size
+            elif len(acc) < size:
+                acc.extend([0] * (size - len(acc)))
+            for i, u in left:
+                for j, v in enumerate(q, r + i):
+                    acc[j] += u * v
+    return AlgebraElement(
+        a.double_rank, {d: Poly(acc) for d, acc in sums.items()}, a.mode
+    )
 
 
 def embed(a: AlgebraElement, target_double_rank: int) -> AlgebraElement:

@@ -15,16 +15,26 @@ __all__ = ["LIMITS", "check"]
 LIMITS = {
     "enumerate_diagrams": 8,  # double rank; 4140 diagrams, 0.06 s
     "gram": 6,  # double rank; gram(6, -5/7) with det, 5.9 s
-    "gram_generic_det": 4,  # double rank; gram(4, None, "diagram"), 0.44 s
+    # double rank; gram(4, None, "diagram"), 0.13 s; gram(5, None,
+    # "diagram") took 9.8-9.9 s, no margin under the budget
+    "gram_generic_det": 4,
     "matrix_units": 4,  # double rank; matrix_units(4, 5), 0.01 s
     "basic_construction_iso": 5,  # double rank; at n = 1/2, 0.24 s
+    # sampled quadruples of basic_construction_iso; at double rank 5
+    # and n = -5/7, 50,000 of them take 7.0 s
+    "basic_construction_quadruples": 50_000,
     "radical_basis": 4,  # double rank; radical_basis(4, 2), 0.04 s
     "specht": 4,  # double rank; specht(4, (2,)), 0.01 s
-    "symmetrize": 5,  # double rank; symmetrize(one, 5, 7/3), 1.3 s
-    "murphy_family": 7,  # double rank of Z, M and murphy_family; 0.05 s
-    "verify_murphy": 6,  # double rank; verify_murphy(6, [4]), 0.89 s
-    "verify_murphy_witness": 50,  # n of a witness; verify_murphy(3, [50]), 4.0 s
-    "sym_matrix_units": 8,  # double rank 2 * size; sym_matrix_units(4), 0.56 s
+    "symmetrize": 5,  # double rank; symmetrize(one, 5, 7/3), 1.4 s; 6 took 57 s
+    "murphy_family": 8,  # double rank of Z, M and murphy_family; 0.16 s
+    # double rank; verify_murphy(6, [4]), 0.88 s; at 7 the witnesses
+    # [4] * 12 + [2] took 17 s
+    "verify_murphy": 6,
+    # sum of the witnesses' n; verify_murphy(6, [4] * 12 + [2]) 8.0 s,
+    # verify_murphy(3, [50]) 5.1 s
+    "verify_murphy_witnesses": 50,
+    # double rank 2 * size; sym_matrix_units(4) 0.26 s, (5) 18 s
+    "sym_matrix_units": 8,
     # n**slots of phi, phi_orbit, sym_tensor_matrix, kappa_tensor_matrix
     # and the verify_murphy witnesses; kappa_tensor_matrix(81, 1), 1.4 s
     "tensor_side": 81,

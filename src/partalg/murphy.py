@@ -426,8 +426,9 @@ def verify_murphy(double_rank: int, n_witnesses: Sequence[int]) -> dict:
     identity against transposition sums for each witness, and the
     joint spectra of the family on labelings against box-content
     predictions with measured boundary offsets.  Raises LimitExceeded,
-    before any work, when a witness or its tensor side at this rank is
-    over its cap, so every witness is checked in full.
+    before any work, when a witness's tensor side at this rank or the
+    sum of the witnesses is over its cap, so every witness is checked
+    in full.
     """
     if check("verify_murphy", double_rank) < 2:
         raise BadParams("need double rank at least 2")
@@ -437,7 +438,7 @@ def verify_murphy(double_rank: int, n_witnesses: Sequence[int]) -> dict:
         raise BadParams(f"witnesses must be a list of n, not {n_witnesses!r}") from None
     for n in n_witnesses:
         _side(n, double_rank // 2)
-        check("verify_murphy_witness", n)
+    check("verify_murphy_witnesses", sum(n_witnesses))
 
     family = murphy_family(double_rank)
     commuting = {"pairs": 0, "failures": []}

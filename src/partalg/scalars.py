@@ -11,10 +11,13 @@ Poly('x + 1')
 >>> parse_rational("3/6")
 Fraction(1, 2)
 
-Polynomials are coefficient tuples indexed by degree with no trailing
-zeros; rational functions keep a monic denominator coprime to the
-numerator.  Both canonical forms are enforced on construction, so
-equality is structural.
+Polynomials are coefficient tuples indexed by degree.  A coefficient
+is an ``int`` when it is integral and a ``Fraction`` otherwise, and
+there are no trailing zeros; rational functions keep a monic
+denominator coprime to the numerator.  Both canonical forms are
+enforced on construction, so equality, hashing and the JSON and text
+forms are structural.  Every division divides by a ``Fraction``, so
+integer coefficients never turn into floats.
 """
 
 from __future__ import annotations
@@ -57,29 +60,41 @@ def rational_str(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _as_fraction_coeffs(coeffs) -> tuple[Fraction, ...]:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
+def _canonical(coeffs) -> tuple[int | Fraction, ...]:
+    out = []
+    for c in coeffs:
+        if type(c) is not int:
+            c = Fraction(c)
+            if c.denominator == 1:
+                c = c.numerator
+        out.append(c)
+    while out and not out[-1]:
         out.pop()
     return tuple(out)
 
 
 @dataclass(frozen=True)
 class Poly:
-    """Polynomial over Q in one variable; coeffs[i] is the x^i coefficient."""
+    """Polynomial over Q in one variable; coeffs[i] is the x^i coefficient.
 
-    coeffs: tuple[Fraction, ...]
+    Canonical form: each coefficient is an ``int`` when integral and a
+    ``Fraction`` otherwise, with no trailing zeros, so
+    ``Poly((Fraction(2), Fraction(1, 2))).coeffs == (2, Fraction(1, 2))``.
+    ``leading()``, ``const_value()`` and evaluation return ``Fraction``.
+    """
+
+    coeffs: tuple[int | Fraction, ...]
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _as_fraction_coeffs(coeffs))
+        object.__setattr__(self, "coeffs", _canonical(coeffs))
 
     @staticmethod
     def const(c) -> Poly:
-        return Poly((Fraction(c),))
+        return Poly((c,))
 
     @staticmethod
     def x() -> Poly:
-        return Poly((Fraction(0), Fraction(1)))
+        return Poly((0, 1))
 
     @property
     def degree(self) -> int:
@@ -92,12 +107,12 @@ class Poly:
     def leading(self) -> Fraction:
         if not self.coeffs:
             return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self.coeffs[-1])
 
     def const_value(self) -> Fraction:
         if len(self.coeffs) > 1:
             raise ValueError("not a constant polynomial")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.coeffs[0]) if self.coeffs else Fraction(0)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -137,7 +152,7 @@ class Poly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -159,11 +174,13 @@ class Poly:
         return result
 
     def __call__(self, value) -> Fraction:
-        acc = Fraction(0)
         point = Fraction(value)
+        if point.denominator == 1:
+            point = point.numerator
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * point + c
-        return acc
+        return Fraction(acc)
 
     def divmod(self, divisor: Poly) -> tuple[Poly, Poly]:
         if divisor.is_zero():
@@ -171,9 +188,11 @@ class Poly:
         rem = list(self.coeffs)
         dlead = divisor.leading()
         ddeg = divisor.degree
-        quot = [Fraction(0)] * max(0, len(rem) - ddeg)
+        quot = [0] * max(0, len(rem) - ddeg)
         while len(rem) - 1 >= ddeg and rem:
             factor = rem[-1] / dlead
+            if factor.denominator == 1:
+                factor = factor.numerator
             shift = len(rem) - 1 - ddeg
             quot[shift] = factor
             for i, c in enumerate(divisor.coeffs):
@@ -235,7 +254,7 @@ def _coerce_poly(value):
     if isinstance(value, Poly):
         return value
     if isinstance(value, (int, Fraction)):
-        return Poly((Fraction(value),))
+        return Poly((value,))
     return NotImplemented
 
 
@@ -346,7 +365,7 @@ def _coerce_ratfunc(value):
     if isinstance(value, Poly):
         return RatFunc(value)
     if isinstance(value, (int, Fraction)):
-        return RatFunc(Poly((Fraction(value),)))
+        return RatFunc(Poly((value,)))
     return NotImplemented
 
 

@@ -423,6 +423,7 @@ def basic_construction_iso(
     """
     if check("basic_construction_iso", double_rank) < 2:
         raise BadParams("basic construction checks start at double rank 2")
+    check("basic_construction_quadruples", quadruples)
     point = parse_rational(n)
     t = double_rank
     half_basis = _basis(t - 1)

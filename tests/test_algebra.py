@@ -35,6 +35,7 @@ from partalg.algebra import (
 from partalg.diagrams import (
     Diagram,
     coarsens,
+    compose,
     enumerate_diagrams,
     generator,
     identity_diagram,
@@ -357,3 +358,86 @@ def test_bilinearity(ta, tb, tc, scale):
     assert multiply(a + b, c) == multiply(a, c) + multiply(b, c)
     assert multiply(a.scale(scale), b) == multiply(a, b).scale(scale)
     assert trace(a + b) == trace(a) + trace(b)
+
+
+def _oracle_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """Sum of c1 * c2 * parameter**r over every term pair, by compose."""
+    out = {}
+    for d1, c1 in a.terms.items():
+        for d2, c2 in b.terms.items():
+            d, r = compose(d1, d2)
+            power = X**r if a.mode is None else a.mode**r
+            out[d] = out.get(d, 0) + c1 * c2 * power
+    return AlgebraElement(a.double_rank, out, a.mode)
+
+
+def _assert_canonical(value):
+    if isinstance(value, RatFunc):
+        _assert_canonical(value.num)
+        _assert_canonical(value.den)
+    elif isinstance(value, Poly):
+        assert value.coeffs and value.coeffs[-1] != 0
+        for c in value.coeffs:
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+    else:
+        assert type(value) is Fraction
+
+
+def _cancelling_pair(diagrams, rng):
+    """(d1, e2, r2, e3, r3) with d1 composed over e2 and over e3 the same
+    diagram, for e2 != e3, with removed-component counts r2 and r3."""
+    for _ in range(50):
+        d1 = rng.choice(diagrams)
+        seen = {}
+        for e in rng.sample(diagrams, min(len(diagrams), 40)):
+            d, r = compose(d1, e)
+            if d in seen:
+                return (d1, *seen[d], e, r)
+            seen[d] = (e, r)
+    return None
+
+
+@pytest.mark.parametrize("kind", ["poly", "ratfunc", 0, Fraction(1, 2), 3])
+def test_multiply_against_compose_oracle(kind):
+    rng = random.Random(20040113)
+    mode = None if kind in ("poly", "ratfunc") else Fraction(kind)
+
+    def fraction():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    def coeff():
+        if mode is not None:
+            return fraction()
+        poly = Poly([fraction() for _ in range(rng.randint(1, 3))] + [rng.randint(1, 3)])
+        if kind == "ratfunc" and rng.random() < 0.25:
+            return RatFunc(poly, Poly((rng.randint(-2, 2), 1)))
+        return poly
+
+    def power(r):
+        return X**r if mode is None else mode**r
+
+    for dr in range(1, 7):
+        diagrams = list(enumerate_diagrams(dr))
+        for _ in range(3):
+            a, b = (
+                AlgebraElement(
+                    dr,
+                    {d: coeff() for d in rng.sample(diagrams, min(len(diagrams), 8))},
+                    mode,
+                )
+                for _ in range(2)
+            )
+            pairs = [(a, b), (b, a), (a, a), (a, b - b)]
+            found = _cancelling_pair(diagrams, rng)
+            if found is not None:
+                # c d1 (n^r3 e2 - n^r2 e3) = c (n^r3 n^r2 - n^r2 n^r3) d = 0
+                d1, e2, r2, e3, r3 = found
+                left = AlgebraElement(dr, {d1: coeff()}, mode)
+                right = AlgebraElement(dr, {e2: power(r3), e3: -power(r2)}, mode)
+                assert multiply(left, right).is_zero()
+                pairs += [(left, right), (a + left, right)]
+            for x, y in pairs:
+                product = multiply(x, y)
+                assert product == _oracle_product(x, y)
+                for value in product.terms.values():
+                    _assert_canonical(value)

@@ -4,8 +4,12 @@ imports."""
 
 import importlib
 import pkgutil
-import tomllib
 from pathlib import Path
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10
+    import tomli as tomllib
 
 import pytest
 

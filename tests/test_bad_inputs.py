@@ -89,6 +89,12 @@ ENTRIES = [
     _entry("matrix_units", structure.matrix_units, (2, 3), (0, 1)),
     _entry("char_decomposition_check", structure.char_decomposition_check, (2, 3), (0, 1)),
     _entry("basic_construction_iso", structure.basic_construction_iso, (2, 3), (0, 1)),
+    _entry(
+        "basic_construction_quadruples",
+        lambda q: structure.basic_construction_iso(2, 3, quadruples=q),
+        (4,),
+        (0,),
+    ),
     _entry("radical_basis", structure.radical_basis, (2, 0), (0, 1)),
     _entry("specht", structure.specht, (2, (1,), 3), (0, 2)),
     _entry(
@@ -107,6 +113,12 @@ ENTRIES = [
     _entry("kappa_tensor_matrix", murphy.kappa_tensor_matrix, (2, 2), (0, 1)),
     _entry("verify_murphy", murphy.verify_murphy, (2, [2]), (0, 1)),
     _entry("verify_murphy_witness", lambda r, n: murphy.verify_murphy(r, [n]), (2, 2), (1,)),
+    _entry(
+        "verify_murphy_witnesses",
+        lambda a, b: murphy.verify_murphy(2, [a, 2, b]),
+        (3, 4),
+        (0, 1),
+    ),
     _entry("sym_matrix_units", symgroup.sym_matrix_units, (2,), (0,)),
     _entry("phi", tensor.phi, (P1, 2), (1,)),
     _entry("phi_orbit", tensor.phi_orbit, (P1, 2), (1,)),

@@ -47,6 +47,11 @@ PAST_CAP = {
     "basic_construction_iso": [
         lambda: basic_construction_iso(CAP["basic_construction_iso"] + 1, 3)
     ],
+    "basic_construction_quadruples": [
+        lambda: basic_construction_iso(
+            2, 3, quadruples=CAP["basic_construction_quadruples"] + 1
+        )
+    ],
     "radical_basis": [lambda: radical_basis(CAP["radical_basis"] + 1, 2)],
     "specht": [lambda: specht(CAP["specht"] + 1, ())],
     "symmetrize": [
@@ -58,8 +63,11 @@ PAST_CAP = {
         lambda: murphy_family(CAP["murphy_family"] + 1),
     ],
     "verify_murphy": [lambda: verify_murphy(CAP["verify_murphy"] + 1, [2])],
-    "verify_murphy_witness": [
-        lambda: verify_murphy(2, [CAP["verify_murphy_witness"] + 1])
+    # the unit is the sum of the witnesses' n
+    "verify_murphy_witnesses": [
+        lambda: verify_murphy(2, [CAP["verify_murphy_witnesses"] + 1]),
+        lambda: verify_murphy(2, [2] * (CAP["verify_murphy_witnesses"] // 2 + 1)),
+        lambda: verify_murphy(6, [4] * 12 + [3]),
     ],
     # the unit is the double rank 2 * size, so the next job is size + 1
     "sym_matrix_units": [lambda: sym_matrix_units(CAP["sym_matrix_units"] // 2 + 1)],
@@ -107,6 +115,10 @@ def test_jobs_over_the_time_budget_are_refused():
         homomorphism_check(2, 7)
     with pytest.raises(LimitExceeded):
         verify_murphy(2, [81])
+    with pytest.raises(LimitExceeded):
+        basic_construction_iso(2, 3, quadruples=200_000)
+    with pytest.raises(LimitExceeded):
+        verify_murphy(6, [4] * 13)
 
 
 def test_check_takes_only_nonnegative_ints():
@@ -117,6 +129,13 @@ def test_check_takes_only_nonnegative_ints():
             check("specht", bad)
     with pytest.raises(KeyError):
         check("no such entry", 1)
+
+
+def test_quadruples_must_be_a_nonnegative_int():
+    for bad in (-1, 2.5, "50", None, True):
+        with pytest.raises(BadParams):
+            basic_construction_iso(2, 3, quadruples=bad)
+    assert basic_construction_iso(2, 3, quadruples=0)["product_rule_checked"] == 0
 
 
 def test_benchmark_sizes_are_admitted(monkeypatch):

@@ -138,7 +138,7 @@ def test_central_element_conventions_and_cap():
     assert M(0) == one(0)
     assert M(1) == one(1)
     cap = LIMITS["murphy_family"]
-    assert cap == 7
+    assert cap == 8
     with pytest.raises(LimitExceeded):
         Z(cap + 1)
     with pytest.raises(LimitExceeded):

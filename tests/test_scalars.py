@@ -112,3 +112,42 @@ def test_scalar_json_round_trip():
     for value in (Fraction(-5, 3), x**2 + Fraction(1, 2), RatFunc(x, x + 1)):
         encoded = scalar_to_json(value)
         assert scalar_from_json(encoded) == value
+
+
+def test_poly_stores_integral_coefficients_as_int():
+    mixed = Poly((Fraction(2), Fraction(1, 2)))
+    assert mixed.coeffs == (2, Fraction(1, 2))
+    assert type(mixed.coeffs[0]) is int
+    assert type(mixed.coeffs[1]) is Fraction
+    assert Poly((Fraction(3), Fraction(0))).coeffs == (3,)
+    assert mixed == Poly((2, Fraction(1, 2)))
+    assert hash(mixed) == hash(Poly((2, Fraction(1, 2))))
+    assert hash(Poly.x()) == hash(Poly((Fraction(0), Fraction(1))))
+    assert mixed.to_json() == ["2", "1/2"]
+    assert str(mixed) == "1/2*x + 2"
+    assert type(mixed.leading()) is Fraction
+    assert type(Poly((4,)).leading()) is Fraction
+    assert type(Poly((4,)).const_value()) is Fraction
+    assert type(Poly(()).const_value()) is Fraction
+
+
+int_polys = st.lists(st.integers(min_value=-6, max_value=6), max_size=5).map(Poly)
+
+
+@given(int_polys, int_polys, st.integers(min_value=-4, max_value=4))
+def test_int_coefficient_inputs_never_give_floats(a, b, point):
+    # Poly turns a float coefficient into the Fraction of its binary
+    # value, so an int/int true division shows as a wrong value here.
+    third = Fraction(point, 3)
+    assert type(a(point)) is Fraction and type(a(third)) is Fraction
+    assert a(third) == sum(Fraction(c) * third**i for i, c in enumerate(a.coeffs))
+    assert a.monic() * a.leading() == a
+    g = Poly.gcd(a, b)
+    assert (a.is_zero() and b.is_zero()) or g.leading() == 1
+    if not b.is_zero():
+        q, r = a.divmod(b)
+        assert q * b + r == a and r.degree < b.degree
+        assert (a * b).exact_div(b) == a
+        f = RatFunc(a, b)
+        assert f.num * b == a * f.den and f.den.leading() == 1
+        assert a.exact_div(g) * g == a
