@@ -1,13 +1,18 @@
 """Exact dense linear algebra over Q and over polynomial rings.
 
-Determinants and ranks share one fraction-free (Bareiss) elimination,
-which stays inside any integral domain supporting exact division (int,
-Fraction, Poly).  ``rank`` first scales each row by the least common
-multiple of its denominators, so its elimination runs on Python ints;
-every intermediate entry is a minor of that integer matrix.  Nullspace,
-inverse and solving work over Fraction entries via reduced row echelon
-form; polynomial or rational-function matrices can be cleared to a
-common domain first by the caller.
+Determinants, ranks and the singularity test share one elimination
+loop, run over Z (or another integral domain) or over Z/p.  Over a
+domain it is fraction-free (Bareiss) and stays inside any domain
+supporting exact division (int, Fraction, Poly); ``rank`` first scales
+each row by the least common multiple of its denominators, so its
+elimination runs on Python ints and every intermediate entry is a minor
+of that integer matrix.  Over Z/p each update is reduced mod p instead.
+
+``singular`` answers det == 0 with a certificate either way: full rank
+mod p proves det != 0, and an integer kernel vector, lifted from Z/p by
+rational reconstruction and checked exactly over Z, proves det == 0.
+When the lift fails it takes the rank over Z.  Inverses work over
+Fraction entries via reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -19,10 +24,14 @@ __all__ = [
     "bareiss_det",
     "rank",
     "rref",
-    "nullspace",
     "invert",
-    "solve_right",
+    "singular",
 ]
+
+# The prime of ``singular``'s elimination mod p (a Mersenne prime), and
+# the bound on numerator and denominator of the rational lift from it.
+PRIME = 2**61 - 1
+LIFT_BOUND = 2**30
 
 
 def _exact_div(a, b):
@@ -36,7 +45,7 @@ def _exact_div(a, b):
     return a / b
 
 
-def _eliminate(m) -> tuple[int, int]:
+def _eliminate(m, p: int | None = None) -> tuple[int, int]:
     """One-step fraction-free (Bareiss) elimination of the rows m, in place.
 
     Pivots are taken row by row, each in the leftmost column that still
@@ -49,6 +58,10 @@ def _eliminate(m) -> tuple[int, int]:
     catches up when it is next used.  Returns (rank, sign of the row
     swaps); after the call m[rank - 1] holds the last pivot row, up to
     date, with its pivot at the end of its leading zeros.
+
+    With a prime p the entries are ints in [0, p).  Each pivot row is
+    scaled mod p so that its pivot is 1, and each update is
+    (a - lead * b) mod p, with no division; dens and prev then stay 1.
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -69,6 +82,9 @@ def _eliminate(m) -> tuple[int, int]:
         top = m[row]
         if dens[row] != prev:
             top = m[row] = _divide_row([v * prev for v in top], dens[row])
+        if p:
+            inverse = pow(top[col], -1, p)
+            top = m[row] = [v * inverse % p for v in top]
         pivot = top[col]
         tail = top[col + 1 :]
         for r in range(row + 1, nrows):
@@ -76,8 +92,11 @@ def _eliminate(m) -> tuple[int, int]:
             lead = target[col]
             if not lead:
                 continue
-            values = [a * pivot - lead * b for a, b in zip(target[col + 1 :], tail)]
-            target[col + 1 :] = _divide_row(values, dens[r])
+            if p:
+                target[col + 1 :] = [(a - lead * b) % p for a, b in zip(target[col + 1 :], tail)]
+            else:
+                values = [a * pivot - lead * b for a, b in zip(target[col + 1 :], tail)]
+                target[col + 1 :] = _divide_row(values, dens[r])
             target[col] = lead - lead
             dens[r] = pivot
         prev = pivot
@@ -158,24 +177,6 @@ def _integer_row(row) -> list[int]:
     return [int(Fraction(v) * den) for v in row]
 
 
-def nullspace(matrix) -> list[list[Fraction]]:
-    """Basis of the right nullspace {v : Mv = 0}, one vector per free column."""
-    m = [[Fraction(v) for v in row] for row in matrix]
-    if not m:
-        return []
-    ncols = len(m[0])
-    reduced, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        basis.append(vec)
-    return basis
-
-
 def invert(matrix) -> list[list[Fraction]]:
     """Inverse of a square matrix over Q; raises ValueError if singular."""
     n = len(matrix)
@@ -189,17 +190,65 @@ def invert(matrix) -> list[list[Fraction]]:
     return [row[n:] for row in reduced[:n]]
 
 
-def solve_right(matrix, rhs) -> list[Fraction] | None:
-    """One solution of Mv = rhs over Q, or None if inconsistent."""
-    m = [[Fraction(v) for v in row] for row in matrix]
-    if not m:
-        return []
-    ncols = len(m[0])
-    aug = [row + [Fraction(b)] for row, b in zip(m, rhs)]
-    reduced, pivots = rref(aug)
-    if ncols in pivots:
+def singular(matrix) -> bool:
+    """Whether a square matrix over Q has determinant zero, exactly.
+
+    Rows are scaled to integers and eliminated mod PRIME.  Full rank
+    mod p proves det != 0.  Otherwise the kernel vector of the first
+    free column is lifted to Q by rational reconstruction and its
+    denominators cleared; a nonzero integer w with M w = 0 over Z
+    proves det == 0.  If the lift or that check fails (p divides a
+    nonzero determinant, or the kernel needs larger entries), the rank
+    is taken over Z.
+    """
+    rows = [_integer_row(row) for row in matrix]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    echelon = [[v % PRIME for v in row] for row in rows]
+    rank_mod_p = _eliminate(echelon, PRIME)[0]
+    if rank_mod_p == n:
+        return False
+    w = _lifted_kernel_vector(echelon, rank_mod_p)
+    # w is nonzero at the free column, so M w = 0 means det M = 0
+    if w is not None and not any(sum(a * b for a, b in zip(row, w)) for row in rows):
+        return True
+    return _eliminate(rows)[0] < n
+
+
+def _lifted_kernel_vector(echelon, rank_mod_p: int) -> list[int] | None:
+    """An integer vector w, one entry per column up to the first free
+    column f, with w[f] != 0 and w mod p in the kernel of the echelon
+    rows mod PRIME; None if an entry has no rational lift within
+    LIFT_BOUND.
+
+    Columns before f are the pivots, all 1, of the rows before f, so w
+    is x[f] = 1 back-substituted through those rows, later columns zero.
+    """
+    free = next(
+        (i for i, row in enumerate(echelon[:rank_mod_p]) if not row[i]), rank_mod_p
+    )
+    x = [0] * free + [1]
+    for i in reversed(range(free)):
+        row = echelon[i]
+        x[i] = -sum(row[j] * x[j] for j in range(i + 1, free + 1)) % PRIME
+    lifted = [_rational_lift(v) for v in x]
+    if None in lifted:
         return None
-    vec = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        vec[pc] = reduced[r][ncols]
-    return vec
+    den = lcm(*(q.denominator for q in lifted))
+    return [q.numerator * (den // q.denominator) for q in lifted]
+
+
+def _rational_lift(u: int) -> Fraction | None:
+    """A fraction a/b with |a|, |b| <= LIFT_BOUND and a = u b mod PRIME,
+    by the extended Euclidean algorithm stopped at the first remainder
+    within the bound; None if its cofactor exceeds the bound."""
+    r0, r1 = PRIME, u
+    t0, t1 = 0, 1
+    while r1 > LIFT_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > LIFT_BOUND:
+        return None
+    return Fraction(r1, t1)

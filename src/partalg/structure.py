@@ -64,7 +64,7 @@ from .errors import (
     VertexNotFound,
 )
 from .limits import check
-from .linalg import bareiss_det, invert, rank as matrix_rank, rref
+from .linalg import bareiss_det, invert, rank as matrix_rank, rref, singular
 from .scalars import Poly, RatFunc, Scalar, parse_rational
 from .symgroup import MatrixUnitSystem, sym_matrix_units, young_elements
 
@@ -236,22 +236,26 @@ def gram(
 
 
 def semisimple_verdict(double_rank: int, n: int) -> dict:
-    """Compares the parameter-range criterion with the exact
-    regular-trace Gram determinant; returns both routes."""
+    """Compares the parameter-range criterion with the regular-trace
+    Gram form; returns both routes.
+
+    by_gram is whether the Gram determinant is nonzero, decided by
+    linalg.singular: certified by full rank mod a prime, or by an exact
+    integer kernel vector, without computing the determinant itself
+    (gram(double_rank, n).det gives it).
+    """
     point = parse_rational(n)
     if point.denominator != 1 or point < 2:
         raise BadParams("verdict needs an integer parameter n >= 2")
     n = int(point)
-    det = gram(double_rank, n, "regular").det
+    by_gram = not singular(gram(double_rank, n, "regular", want_det=False).matrix)
     by_theorem = double_rank <= n + 1
-    by_gram = det != 0
     return {
         "double_rank": double_rank,
         "n": n,
         "verdict": by_gram,
         "by_theorem": by_theorem,
         "by_gram": by_gram,
-        "gram_det": det,
     }
 
 
@@ -424,6 +428,8 @@ def basic_construction_iso(
     if check("basic_construction_iso", double_rank) < 2:
         raise BadParams("basic construction checks start at double rank 2")
     check("basic_construction_quadruples", quadruples)
+    if not isinstance(seed, int):
+        raise BadParams(f"seed must be an int, not {seed!r}")
     point = parse_rational(n)
     t = double_rank
     half_basis = _basis(t - 1)

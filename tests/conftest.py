@@ -1,10 +1,29 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles for the test suite, and one spy fixture.
 
 These deliberately avoid the package's own algorithms: set partitions
 come from recursive insertion, never from restricted-growth strings.
 """
 
 from __future__ import annotations
+
+import pytest
+
+
+@pytest.fixture
+def elimination_moduli(monkeypatch) -> list:
+    """The modulus (None over Z) of every linalg._eliminate call the
+    test makes, in order."""
+    from partalg import linalg
+
+    moduli = []
+    eliminate = linalg._eliminate
+
+    def spy(m, p=None):
+        moduli.append(p)
+        return eliminate(m, p)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    return moduli
 
 
 def brute_partitions(items):

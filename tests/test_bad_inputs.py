@@ -46,6 +46,9 @@ OUT_OF_DOMAIN = {
     "enumerate_diagrams(-2)": lambda: list(enumerate_diagrams(-2)),  # yielded Diagram(0, ())
     "commutant_dims(2, -1)": lambda: tensor.commutant_dims(2, -1),  # returned (1, 0, [])
     "Z(2.5)": lambda: murphy.Z(2.5),  # leaked TypeError
+    "basic_construction_iso seed=[1]": lambda: structure.basic_construction_iso(
+        2, 3, seed=[1]
+    ),  # leaked TypeError from random.Random
     "kappa_tensor_matrix(0, 2)": lambda: murphy.kappa_tensor_matrix(0, 2),  # n = 0 matrix
     # lower bounds are domain checks, not caps
     "basic_construction_iso(1, 3)": lambda: structure.basic_construction_iso(1, 3),
@@ -93,6 +96,12 @@ ENTRIES = [
         "basic_construction_quadruples",
         lambda q: structure.basic_construction_iso(2, 3, quadruples=q),
         (4,),
+        (0,),
+    ),
+    _entry(
+        "basic_construction_seed",
+        lambda s: structure.basic_construction_iso(2, 3, seed=s),
+        (0,),
         (0,),
     ),
     _entry("radical_basis", structure.radical_basis, (2, 0), (0, 1)),

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from partalg.linalg import bareiss_det, invert, nullspace, rank, rref, solve_right
+from partalg.linalg import PRIME, bareiss_det, invert, rank, rref, singular
 from partalg.scalars import Poly
 
 
@@ -59,14 +59,9 @@ def test_bareiss_singular_and_empty():
     assert bareiss_det([[1, 2], [2, 4]]) == 0
 
 
-def test_rank_and_nullspace():
+def test_rank():
     m = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
     assert rank(m) == 2
-    basis = nullspace(m)
-    assert len(basis) == 1
-    v = basis[0]
-    for row in m:
-        assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
 
 
 def test_rref_idempotent():
@@ -86,14 +81,6 @@ def test_invert_round_trip():
             assert entry == (1 if i == j else 0)
     with pytest.raises(ValueError):
         invert([[1, 2], [2, 4]])
-
-
-def test_solve_right():
-    m = [[1, 2], [3, 4]]
-    v = solve_right(m, [5, 6])
-    assert v is not None
-    assert [sum(Fraction(a) * b for a, b in zip(row, v)) for row in m] == [5, 6]
-    assert solve_right([[1, 1], [1, 1]], [0, 1]) is None
 
 
 def random_low_rank(rng, rows, cols, inner, entry):
@@ -165,3 +152,72 @@ def test_rank_and_det_against_sympy():
                 if size > 2 and rng.random() < 0.3:
                     m[-1] = [3 * a - b for a, b in zip(m[0], m[1])]
                 assert bareiss_det(m) == sympy.Matrix(m).det(), m
+
+
+def square_cases():
+    rng = random.Random(11)
+    entries = [
+        lambda: rng.randint(-3, 3),
+        lambda: rng.choice((0, 0, 1)),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+        lambda: rng.randint(-(2**64), 2**64),
+    ]
+    cases = [[], [[0]], [[5]], [[Fraction(1, 3)]], [[0, 0], [1, 2]]]
+    for entry in entries:
+        for _ in range(12):
+            size = rng.randint(1, 9)
+            inner = rng.randint(size - 2, size)
+            cases.append(random_low_rank(rng, size, size, max(inner, 0), entry))
+            cases.append([[entry() for _ in range(size)] for _ in range(size)])
+    return cases
+
+
+def test_singular_matches_bareiss():
+    cases = square_cases()
+    verdicts = [singular(m) for m in cases]
+    assert verdicts == [bareiss_det(m) == 0 for m in cases]
+    assert True in verdicts and False in verdicts
+
+
+def test_singular_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in square_cases():
+        if m:
+            assert singular(m) == (sympy.Matrix(m).det() == 0), m
+
+
+def test_singular_refuses_non_square():
+    with pytest.raises(ValueError):
+        singular([[1, 2]])
+
+
+def test_singular_small_kernel_needs_no_integer_elimination(elimination_moduli):
+    assert singular([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    assert singular([[Fraction(1, 2), 1], [1, 2]])
+    assert not singular([[2, 1], [1, 3]])
+    assert elimination_moduli == [PRIME] * 3
+
+
+def test_singular_falls_back_when_p_divides_the_determinant(elimination_moduli):
+    rng = random.Random(3)
+    m = [[rng.randint(-5, 5) for _ in range(5)] for _ in range(5)]
+    for i in range(5):
+        m[i][i] += 100  # diagonally dominant, so det != 0
+    m[2] = [PRIME * v for v in m[2]]
+    det = bareiss_det(m)
+    assert det % PRIME == 0 and det != 0
+    elimination_moduli.clear()
+    assert not singular(m)
+    assert not singular([[PRIME]])
+    assert elimination_moduli == [PRIME, None] * 2
+
+
+def test_singular_falls_back_when_the_kernel_is_too_large_to_lift(elimination_moduli):
+    rng = random.Random(4)
+    first = [rng.randint(2**40, 2**41) for _ in range(3)]
+    second = [rng.randint(2**40, 2**41) for _ in range(3)]
+    m = [first, second, [a - 3 * b for a, b in zip(first, second)]]
+    assert bareiss_det(m) == 0
+    elimination_moduli.clear()
+    assert singular(m)
+    assert elimination_moduli == [PRIME, None]

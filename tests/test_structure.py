@@ -22,7 +22,7 @@ from partalg.algebra import (
     trace,
 )
 from partalg.diagrams import enumerate_diagrams
-from partalg.linalg import rank
+from partalg.linalg import PRIME, rank
 from partalg.scalars import Poly
 from partalg.structure import (
     char_decomposition_check,
@@ -111,6 +111,14 @@ def test_semisimple_verdict_agrees_with_theorem():
         for n in range(2, 5):
             report = semisimple_verdict(dr, n)
             assert report["by_gram"] == report["by_theorem"]
+
+
+def test_semisimple_verdict_at_double_rank_six(elimination_moduli):
+    reports = [semisimple_verdict(6, n) for n in range(2, 6)]
+    assert [r["by_gram"] for r in reports] == [False, False, False, True]
+    assert [r["by_theorem"] for r in reports] == [False, False, False, True]
+    # every singular Gram matrix is certified by a lifted kernel vector
+    assert elimination_moduli == [PRIME] * 4
 
 
 def test_radical_dimension_is_gram_nullity():
