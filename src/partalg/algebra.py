@@ -16,6 +16,7 @@ counting the components removed from the middle row.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .diagrams import (
     Diagram,
@@ -38,7 +39,7 @@ from .scalars import (
     Poly,
     RatFunc,
     Scalar,
-    parse_rational,
+    parse_parameter,
     rational_str,
     scalar_from_json,
     scalar_is_zero,
@@ -176,7 +177,7 @@ class AlgebraElement:
 
     @staticmethod
     def from_json(data) -> AlgebraElement:
-        mode = None if data["mode"] == "generic" else parse_rational(data["mode"]["n"])
+        mode = None if data["mode"] == "generic" else parse_parameter(data["mode"]["n"])
         terms = [
             (Diagram.from_json(t["diagram"]), scalar_from_json(t["coeff"]))
             for t in data["terms"]
@@ -231,12 +232,18 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     term pair adds the convolution of its two coefficient tuples,
     shifted up by r places for the factor x^r, into one list per output
     diagram, and each output diagram gets one Poly at the end.
-    Specialized factors, and generic ones holding a RatFunc, multiply
-    scalars pair by pair, reading n^r (or x^r) from a table filled once
-    per call and skipping the factor when r = 0.
+    Specialized factors are scaled to integers: with D the common
+    denominator of a's coefficients, E that of b's, n = p/q in lowest
+    terms and K the column count (r <= K), each term pair adds the
+    integer (D c1)(E c2) p^r q^(K-r) into one sum per output diagram,
+    and each sum is divided once by D E q^K at the end.  Generic
+    factors holding a RatFunc multiply scalars pair by pair, reading
+    x^r from a table filled once per call and skipping it when r = 0.
     """
     a._check_compatible(b)
-    if a.mode is None and not any(
+    if a.mode is not None:
+        return _multiply_specialized(a, b)
+    if not any(
         isinstance(c, RatFunc) for terms in (a.terms, b.terms) for c in terms.values()
     ):
         return _multiply_poly(a, b)
@@ -249,10 +256,33 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
             if r:
                 power = powers.get(r)
                 if power is None:
-                    power = powers[r] = _param_power(a.mode, r)
+                    power = powers[r] = _param_power(None, r)
                 contrib = contrib * power
             out[d] = out.get(d, 0) + contrib
     return AlgebraElement(a.double_rank, out, a.mode)
+
+
+def _integer_terms(terms: dict[Diagram, Fraction]) -> tuple[list[tuple[Diagram, int]], int]:
+    """The terms scaled by their common denominator, and that denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return [(d, c.numerator * (den // c.denominator)) for d, c in terms.items()], den
+
+
+def _multiply_specialized(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    left, da = _integer_terms(a.terms)
+    right, db = _integer_terms(b.terms)
+    p, q = a.mode.numerator, a.mode.denominator
+    k2 = columns(a.double_rank)
+    weights = [p**r * q ** (k2 - r) for r in range(k2 + 1)]
+    sums: dict[Diagram, int] = {}
+    for d1, u in left:
+        for d2, v in right:
+            d, r = compose(d1, d2)
+            sums[d] = sums.get(d, 0) + u * v * weights[r]
+    den = da * db * q**k2
+    return AlgebraElement(
+        a.double_rank, {d: Fraction(s, den) for d, s in sums.items()}, a.mode
+    )
 
 
 def _multiply_poly(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -444,7 +474,7 @@ def specialize(a: AlgebraElement, n) -> AlgebraElement:
     """Evaluates generic coefficients at x = n."""
     if a.mode is not None:
         raise ModeMismatch("element is already specialized")
-    point = parse_rational(n)
+    point = parse_parameter(n)
     terms = {}
     for d, c in a.terms.items():
         terms[d] = c(point) if isinstance(c, (Poly, RatFunc)) else Fraction(c)

@@ -214,26 +214,6 @@ class BratteliGraph:
             "edges": [[list(e) for e in es] for es in self.edges],
         }
 
-    def to_dot(self) -> str:
-        def name(t: int, idx: int) -> str:
-            return f'"L{t}_{idx}"'
-
-        def label(vertex) -> str:
-            return ",".join(str(p) for p in vertex) if vertex else "empty"
-
-        lines = ["digraph bratteli {", "  rankdir=TB;"]
-        for t, level in enumerate(self.levels):
-            lines.append(f"  subgraph cluster_{t} {{")
-            lines.append(f'    label="level {t}/2";')
-            for idx, vertex in enumerate(level):
-                lines.append(f'    {name(t, idx)} [label="{label(vertex)}"];')
-            lines.append("  }")
-        for t, es in enumerate(self.edges):
-            for src, dst in es:
-                lines.append(f"  {name(t, src)} -> {name(t + 1, dst)};")
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def build_bratteli(kind: str, double_rank: int, n: int | None = None) -> BratteliGraph:
     """Builds the abstract or concrete graph up to level double_rank/2.

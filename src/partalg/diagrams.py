@@ -6,13 +6,25 @@ K = ceil(k); positive vertices form the top row, negative the bottom.
 Half-integer ranks are the sub-monoid of rank K diagrams whose block
 structure joins K and -K.
 
+A diagram is stored as its restricted-growth string ``labels`` (Knuth,
+TAOCP 4A, 7.2.1.5): one block number per vertex, over the vertices in
+the order 1,...,K,-1,...,-K, numbering the blocks 0, 1, 2, ... in the
+order they first appear.  ``blocks`` is the same partition as sorted
+vertex tuples, kept as the public view.  Diagrams are interned: the
+constructor returns the one object of its (double_rank, labels), so
+equal diagrams are the same object and compare by identity.
+
 >>> from partalg.diagrams import make_diagram, compose, propagating_number
 >>> d = make_diagram(2, [[1, -1]])
 >>> propagating_number(d)
 1
 >>> p = make_diagram(2, [[1], [-1]])
+>>> p.labels
+(0, 1)
 >>> compose(p, p)           # the lone middle component is removed
 (Diagram(2, ((1,), (-1,))), 1)
+>>> compose(p, p)[0] is p
+True
 """
 
 from __future__ import annotations
@@ -55,7 +67,6 @@ __all__ = [
     "verify_presentation",
     "token_str",
     "parse_token",
-    "diagram_dot",
 ]
 
 
@@ -75,50 +86,49 @@ def _vkey(v: int) -> tuple[int, int]:
 
 
 class Diagram:
-    """Canonical set-partition diagram; immutable and hashable."""
+    """Canonical set-partition diagram; immutable, hashable and interned.
 
-    __slots__ = ("double_rank", "blocks", "_hash")
+    ``Diagram(double_rank, blocks)`` validates raw vertex lists and
+    returns the interned diagram of that partition.  Equality is
+    identity; the hash is that of (double_rank, labels).
+    """
 
-    def __init__(self, double_rank: int, blocks):
+    __slots__ = ("double_rank", "labels", "blocks", "_hash")
+
+    def __new__(cls, double_rank: int, blocks):
         k2 = columns(double_rank)
-        seen: set[int] = set()
-        canon = []
-        for block in blocks:
-            part = tuple(sorted(block, key=_vkey))
+        owner: dict[int, int] = {}
+        for i, block in enumerate(blocks):
+            part = tuple(block)
             if not part:
                 raise NotAPartition("empty block")
             for v in part:
                 if not isinstance(v, int) or v == 0 or abs(v) > k2:
                     raise VertexOutOfRange(f"vertex {v} outside rank {Fraction(double_rank, 2)}")
-                if v in seen:
+                if v in owner:
                     raise NotAPartition(f"vertex {v} appears twice")
-                seen.add(v)
-            canon.append(part)
-        if len(seen) != 2 * k2:
-            missing = sorted(set(vertex_universe(double_rank)) - seen, key=_vkey)
+                owner[v] = i
+        if len(owner) != 2 * k2:
+            missing = sorted(set(vertex_universe(double_rank)) - owner.keys(), key=_vkey)
             raise NotAPartition(f"vertices {missing} not covered")
-        if double_rank % 2 == 1 and k2 > 0:
-            if not any(k2 in b and -k2 in b for b in canon):
-                raise HalfIntegerConstraintViolated(
-                    f"half-integer rank requires {k2} and {-k2} in one block"
-                )
-        canon.sort(key=lambda b: _vkey(b[0]))
-        object.__setattr__(self, "double_rank", double_rank)
-        object.__setattr__(self, "blocks", tuple(canon))
-        object.__setattr__(self, "_hash", hash((double_rank, self.blocks)))
+        if double_rank % 2 == 1 and k2 > 0 and owner[k2] != owner[-k2]:
+            raise HalfIntegerConstraintViolated(
+                f"half-integer rank requires {k2} and {-k2} in one block"
+            )
+        relabel: dict[int, int] = {}
+        labels = tuple(
+            relabel.setdefault(owner[v], len(relabel)) for v in vertex_universe(double_rank)
+        )
+        return _diagram(double_rank, labels)
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Diagram)
-            and self.double_rank == other.double_rank
-            and self.blocks == other.blocks
-        )
-
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return (_diagram, (self.double_rank, self.labels))
 
     def block_of(self, v: int) -> tuple[int, ...]:
         for b in self.blocks:
@@ -135,6 +145,32 @@ class Diagram:
 
     def __repr__(self) -> str:
         return f"Diagram({self.double_rank}, {self.blocks})"
+
+
+# Every diagram made so far, by (double_rank, labels).  Whole-algebra
+# work meets each diagram of a rank many times, so the table only grows;
+# it holds at most Bell(dr) diagrams of double rank dr, and
+# enumerate_diagrams stops at Bell(8) = 4140.
+_INTERNED: dict[tuple[int, tuple[int, ...]], Diagram] = {}
+
+
+def _diagram(double_rank: int, labels: tuple[int, ...]) -> Diagram:
+    """The interned diagram with these restricted-growth labels, which
+    the caller guarantees valid for the rank; nothing is checked."""
+    key = (double_rank, labels)
+    d = _INTERNED.get(key)
+    if d is None:
+        d = object.__new__(Diagram)
+        groups: dict[int, list[int]] = {}
+        for v, label in zip(vertex_universe(double_rank), labels):
+            groups.setdefault(label, []).append(v)
+        parts = (tuple(sorted(g, key=_vkey)) for g in groups.values())
+        object.__setattr__(d, "double_rank", double_rank)
+        object.__setattr__(d, "labels", labels)
+        object.__setattr__(d, "blocks", tuple(sorted(parts, key=lambda b: _vkey(b[0]))))
+        object.__setattr__(d, "_hash", hash(key))
+        d = _INTERNED.setdefault(key, d)
+    return d
 
 
 def make_diagram(double_rank: int, blocks) -> Diagram:
@@ -160,10 +196,20 @@ class _UnionFind:
             a = p[a]
         return a
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+    def union(self, a: int, b: int) -> bool:
+        """Joins the sets of a and b; True if they were apart."""
+        # find inlined twice: compose calls this once per middle vertex
+        p = self.parent
+        while p[a] != a:
+            p[a] = p[p[a]]
+            a = p[a]
+        while p[b] != b:
+            p[b] = p[p[b]]
+            b = p[b]
+        if a == b:
+            return False
+        p[b] = a
+        return True
 
 
 def compose(d1: Diagram, d2: Diagram) -> tuple[Diagram, int]:
@@ -181,32 +227,23 @@ def compose(d1: Diagram, d2: Diagram) -> tuple[Diagram, int]:
 
 @lru_cache(maxsize=1 << 18)
 def _compose_cached(d1: Diagram, d2: Diagram) -> tuple[Diagram, int]:
+    # union-find over the blocks of d1 (nodes 0..b1-1) and of d2 (nodes
+    # b1..), joined where the bottom of d1 meets the top of d2; the rim
+    # is relabelled in vertex order, and the components it does not
+    # reach are the removed ones
     k2 = columns(d1.double_rank)
-    # node ids: top 0..k2-1, middle k2..2k2-1, bottom 2k2..3k2-1
-    uf = _UnionFind(3 * k2)
-    for top, d in ((-1, d1), (k2 - 1, d2)):
-        # vertex m of d is node top + m, vertex -m is node bottom + m
-        bottom = top + k2
-        for block in d.blocks:
-            first = None
-            for v in block:
-                node = top + v if v > 0 else bottom - v
-                if first is None:
-                    first = node
-                else:
-                    uf.union(first, node)
-    groups: dict[int, list[int]] = {}
-    for node in range(3 * k2):
-        groups.setdefault(uf.find(node), []).append(node)
-    blocks = []
-    removed = 0
-    for members in groups.values():
-        rim = [m for m in members if m < k2 or m >= 2 * k2]
-        if not rim:
-            removed += 1
-            continue
-        blocks.append([m + 1 if m < k2 else -(m - 2 * k2 + 1) for m in rim])
-    return Diagram(d1.double_rank, blocks), removed
+    l1, l2 = d1.labels, d2.labels
+    b1 = len(d1.blocks)
+    components = b1 + len(d2.blocks)
+    uf = _UnionFind(components)
+    for m in range(k2):
+        if uf.union(l1[k2 + m], b1 + l2[m]):
+            components -= 1
+    find = uf.find
+    relabel: dict[int, int] = {}
+    rim = [relabel.setdefault(find(label), len(relabel)) for label in l1[:k2]]
+    rim += [relabel.setdefault(find(b1 + label), len(relabel)) for label in l2[k2:]]
+    return _diagram(d1.double_rank, tuple(rim)), components - len(relabel)
 
 
 def closure_components(d: Diagram) -> int:
@@ -224,11 +261,9 @@ def closure_components(d: Diagram) -> int:
 
 
 def propagating_number(d: Diagram) -> int:
-    count = 0
-    for block in d.blocks:
-        if any(v > 0 for v in block) and any(v < 0 for v in block):
-            count += 1
-    return count
+    """Number of blocks meeting both rows."""
+    k2 = columns(d.double_rank)
+    return len(set(d.labels[:k2]).intersection(d.labels[k2:]))
 
 
 def _cycle_positions(d: Diagram) -> list[list[int]]:
@@ -354,28 +389,21 @@ def enumerate_diagrams(double_rank: int) -> Iterator[Diagram]:
 
 
 def _enumerate(double_rank: int) -> Iterator[Diagram]:
-    verts = vertex_universe(double_rank)
-    n = len(verts)
-    if n == 0:
-        yield Diagram(0, [])
-        return
-    half = double_rank % 2 == 1
     k2 = columns(double_rank)
+    n = 2 * k2
+    half = double_rank % 2 == 1
 
-    def rg(prefix: list[int], top: int) -> Iterator[list[int]]:
+    def rg(prefix: tuple[int, ...], top: int) -> Iterator[tuple[int, ...]]:
         if len(prefix) == n:
             yield prefix
             return
         for label in range(top + 2):
-            yield from rg(prefix + [label], max(top, label))
+            yield from rg(prefix + (label,), max(top, label))
 
-    for string in rg([], -1):
-        if half and string[k2 - 1] != string[2 * k2 - 1]:
+    for string in rg((), -1):
+        if half and string[k2 - 1] != string[n - 1]:
             continue
-        groups: dict[int, list[int]] = {}
-        for v, label in zip(verts, string):
-            groups.setdefault(label, []).append(v)
-        yield Diagram(double_rank, list(groups.values()))
+        yield _diagram(double_rank, string)
 
 
 def flip(d: Diagram) -> Diagram:
@@ -597,16 +625,3 @@ def verify_presentation(double_rank: int) -> list[str]:
         if evaluate_word(lhs, double_rank) != evaluate_word(rhs, double_rank):
             failures.append(name)
     return failures
-
-
-def diagram_dot(d: Diagram) -> str:
-    """Plain edge-list rendering of the diagram's block graph."""
-    lines = ["graph diagram {"]
-    for block in d.blocks:
-        if len(block) == 1:
-            lines.append(f'  "{block[0]}";')
-        else:
-            for a, b in zip(block, block[1:]):
-                lines.append(f'  "{a}" -- "{b}";')
-    lines.append("}")
-    return "\n".join(lines)

@@ -4,8 +4,10 @@ The partition algebras grow like Bell(2k), so every public entry point
 refuses a job over its cap before it allocates anything.  ``LIMITS``
 maps each entry to the largest job it starts, in the unit named beside
 it, with the cold time of the slowest call admitted at the cap (fresh
-CPython 3.11 process, 2-core x86-64 host).  The budget is 10 s a call;
-the times are for parameters of small height, which is not capped.
+CPython 3.11 process, 2-core x86-64 host).  The budget is 10 s a call.
+Exact work also slows with the height of a rational parameter n, so
+``parameter_bits`` caps that height at every entry taking n; the times
+beside the size caps are for n of small height unless they say so.
 """
 
 from .errors import BadParams, LimitExceeded
@@ -14,14 +16,14 @@ __all__ = ["LIMITS", "check"]
 
 LIMITS = {
     "enumerate_diagrams": 8,  # double rank; 4140 diagrams, 0.06 s
-    "gram": 6,  # double rank; gram(6, -5/7) with det, 5.9 s
+    "gram": 6,  # double rank; gram(6, -5/7) with det, 4.9 s
     # double rank; gram(4, None, "diagram"), 0.13 s; gram(5, None,
     # "diagram") took 9.8-9.9 s, no margin under the budget
     "gram_generic_det": 4,
     "matrix_units": 4,  # double rank; matrix_units(4, 5), 0.01 s
     "basic_construction_iso": 5,  # double rank; at n = 1/2, 0.24 s
     # sampled quadruples of basic_construction_iso; at double rank 5
-    # and n = -5/7, 50,000 of them take 7.0 s
+    # and n = -5/7, 50,000 of them take 6.0 s
     "basic_construction_quadruples": 50_000,
     "radical_basis": 4,  # double rank; radical_basis(4, 2), 0.04 s
     "specht": 4,  # double rank; specht(4, (2,)), 0.01 s
@@ -41,6 +43,11 @@ LIMITS = {
     "commutant_dims": 1_059_840,  # diagrams x side**2; (2, 8), 1.5 s
     "homomorphism_check": 41_209,  # pairs; exhaustive (2, 6), 3.5 s
     "homomorphism_check_entries": 3_280_500,  # pairs x side**2; (81, 2, 500), 4.7 s
+    # height of a parameter n: bit lengths of numerator and denominator
+    # added; gram(6, -3/61) with det 7.7-8.3 s, gram(6, 1/127) 8.0 s,
+    # basic_construction_iso(5, -1/127) with 50,000 quadruples 7.0 s;
+    # at 9 bits gram(6, 1/255) took 9.2 s, at 10 gram(6, 1/511) 10.4 s
+    "parameter_bits": 8,
 }
 
 

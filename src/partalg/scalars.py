@@ -26,12 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadParams, DenominatorVanishes
+from .limits import check
 
 __all__ = [
     "Poly",
     "RatFunc",
     "Scalar",
     "parse_rational",
+    "parse_parameter",
     "rational_str",
     "scalar_is_zero",
     "scalar_to_json",
@@ -50,6 +52,15 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
         return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError):
         raise BadParams(f"not a rational number: {text!r}") from None
+
+
+def parse_parameter(n: str | int | Fraction) -> Fraction:
+    """parse_rational for the parameter n of the algebra, whose height,
+    the bit lengths of numerator and denominator added, is capped in
+    partalg.limits: exact work slows with the size of n's powers."""
+    point = parse_rational(n)
+    check("parameter_bits", point.numerator.bit_length() + point.denominator.bit_length())
+    return point
 
 
 def rational_str(value: Fraction | int) -> str:

@@ -65,7 +65,7 @@ from .errors import (
 )
 from .limits import check
 from .linalg import bareiss_det, invert, rank as matrix_rank, rref, singular
-from .scalars import Poly, RatFunc, Scalar, parse_rational
+from .scalars import Poly, RatFunc, Scalar, parse_parameter
 from .symgroup import MatrixUnitSystem, sym_matrix_units, young_elements
 
 __all__ = [
@@ -197,30 +197,36 @@ def gram(
 ) -> GramReport:
     """Gram matrix of the chosen trace form on the diagram basis.
 
-    Entries are exact: polynomials in generic mode, rationals at a
-    numeric parameter.  The determinant uses fraction-free elimination,
-    over Z at a numeric parameter once each row is scaled to integers.
-    The double rank is capped in partalg.limits.
+    Entries are exact: polynomials in generic mode, ints at an integral
+    parameter n (each regular value is evaluated once to an int, and
+    an entry is n**r times it), and Fractions at any other n.  The
+    determinant uses fraction-free elimination, over Z at a numeric
+    parameter once each row is scaled to integers.  The double rank
+    and the height of n are capped in partalg.limits.
     """
     check("gram", double_rank)
     if want_det and n is None:
         check("gram_generic_det", double_rank)
     if trace_kind not in ("regular", "diagram"):
         raise BadParams(f"unknown trace kind {trace_kind!r}")
-    mode = None if n is None else parse_rational(n)
+    mode = None if n is None else parse_parameter(n)
+    point = mode.numerator if mode is not None and mode.denominator == 1 else mode
     basis = _basis(double_rank)
     if trace_kind == "regular":
         values = {d: _at(_regular_value(d), mode) for d in basis}
+        if type(point) is int:
+            # regular values have integer coefficients
+            values = {d: v.numerator for d, v in values.items()}
 
         def entry(a: Diagram, b: Diagram) -> Scalar:
             d, r = compose(a, b)
-            return _param_power(mode, r) * values[d]
+            return _param_power(point, r) * values[d]
 
     else:
 
         def entry(a: Diagram, b: Diagram) -> Scalar:
             d, r = compose(a, b)
-            return _param_power(mode, r + closure_components(d))
+            return _param_power(point, r + closure_components(d))
 
     matrix = tuple(tuple(entry(a, b) for b in basis) for a in basis)
     det: Scalar | None = None
@@ -244,7 +250,7 @@ def semisimple_verdict(double_rank: int, n: int) -> dict:
     integer kernel vector, without computing the determinant itself
     (gram(double_rank, n).det gives it).
     """
-    point = parse_rational(n)
+    point = parse_parameter(n)
     if point.denominator != 1 or point < 2:
         raise BadParams("verdict needs an integer parameter n >= 2")
     n = int(point)
@@ -285,7 +291,7 @@ def eps_ratio(double_level: int, mu, lam, n=None) -> Scalar:
     if n is None:
         ratio = RatFunc(num, den)
         return ratio.num if ratio.den == Poly.const(1) else ratio
-    point = parse_rational(n)
+    point = parse_parameter(n)
     den_value = den(point)
     if den_value == 0:
         raise DenominatorVanishes(
@@ -365,7 +371,7 @@ def matrix_units(double_rank: int, n) -> MatrixUnitSystem:
     impossible, which is exactly the non-semisimple boundary.
     """
     check("matrix_units", double_rank)
-    return _build_units(double_rank, parse_rational(n))
+    return _build_units(double_rank, parse_parameter(n))
 
 
 def char_decomposition_check(double_rank: int, n) -> dict:
@@ -430,7 +436,7 @@ def basic_construction_iso(
     check("basic_construction_quadruples", quadruples)
     if not isinstance(seed, int):
         raise BadParams(f"seed must be an int, not {seed!r}")
-    point = parse_rational(n)
+    point = parse_parameter(n)
     t = double_rank
     half_basis = _basis(t - 1)
     hb = [diagram_element(d, 1, point) for d in half_basis]
@@ -529,7 +535,7 @@ def radical_basis(double_rank: int, n) -> list[AlgebraElement]:
     """
     if check("radical_basis", double_rank) < 2:
         raise BadParams("radical bases start at double rank 2")
-    point = parse_rational(n)
+    point = parse_parameter(n)
     t = double_rank
     graph = _graph(t)
     for s in range(1, t - 1):
@@ -584,7 +590,7 @@ def specht(double_rank: int, lam, witness_n: int | None = None) -> dict:
     m = sum(parts)
     if m > ell:
         raise BadShape(f"{parts} has more than {ell} boxes")
-    point = parse_rational(2 * ell if witness_n is None else witness_n)
+    point = parse_parameter(2 * ell if witness_n is None else witness_n)
     if point.denominator != 1:
         raise BadParams(f"witness n must be an integer, not {witness_n!r}")
     _, _, _, product = young_elements(parts, m)
@@ -624,7 +630,7 @@ def symmetrize(
     not depend on the basis choice, which the optional argument lets
     tests exercise."""
     check("symmetrize", double_rank)
-    point = parse_rational(n)
+    point = parse_parameter(n)
     if a.double_rank != double_rank:
         raise BadParams("element rank differs from the requested rank")
     if a.mode is None:

@@ -156,9 +156,6 @@ class EndoMatrix:
     def flat(self) -> list[int | Fraction]:
         return [v for row in self.rows for v in row]
 
-    def to_csv(self) -> str:
-        return "\n".join(",".join(str(v) for v in row) for row in self.rows)
-
     def __repr__(self) -> str:
         return f"<EndoMatrix n={self.n} slots={self.slots}>"
 

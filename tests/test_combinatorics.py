@@ -197,5 +197,3 @@ def test_graph_exports():
     data = g.to_json()
     assert data["kind"] == "abstract"
     assert data["levels"][2] == [[], [1]]
-    text = g.to_dot()
-    assert text.startswith("digraph") and '"L0_0"' in text

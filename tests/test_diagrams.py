@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,7 +12,6 @@ from partalg.diagrams import (
     classify,
     coarsens,
     compose,
-    diagram_dot,
     enumerate_diagrams,
     evaluate_word,
     factorize,
@@ -27,6 +28,7 @@ from partalg.diagrams import (
     token_str,
     verify_presentation,
 )
+from partalg.diagrams import _compose_cached
 from partalg.errors import (
     HalfIntegerConstraintViolated,
     IndexOutOfRange,
@@ -327,6 +329,104 @@ def test_json_round_trip():
     assert data == {"double_rank": 4, "blocks": [[1, 2], [-1, -2]]}
 
 
-def test_diagram_dot():
-    text = diagram_dot(make_diagram(4, [[1, 2], [-1, -2]]))
-    assert '"1" -- "2";' in text and text.startswith("graph")
+def _block_compose(d1, d2):
+    """Stacks d1 over d2 on vertex ids, not on block labels: the
+    block-based composition the label core replaced, kept as an oracle.
+    Returns the raw blocks of the product and the removed count."""
+    k2 = (d1.double_rank + 1) // 2
+    # node ids: top 0..k2-1, middle k2..2k2-1, bottom 2k2..3k2-1
+    parent = list(range(3 * k2))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for top, d in ((-1, d1), (k2 - 1, d2)):
+        # vertex m of d is node top + m, vertex -m is node bottom + m
+        bottom = top + k2
+        for block in d.blocks:
+            nodes = [top + v if v > 0 else bottom - v for v in block]
+            for node in nodes[1:]:
+                parent[find(node)] = find(nodes[0])
+    groups = {}
+    for node in range(3 * k2):
+        groups.setdefault(find(node), []).append(node)
+    blocks = []
+    removed = 0
+    for members in groups.values():
+        rim = [m for m in members if m < k2 or m >= 2 * k2]
+        if not rim:
+            removed += 1
+            continue
+        blocks.append([m + 1 if m < k2 else -(m - 2 * k2 + 1) for m in rim])
+    return blocks, removed
+
+
+def _assert_compose_matches_oracle(d1, d2):
+    blocks, removed = _block_compose(d1, d2)
+    product = Diagram(d1.double_rank, blocks)
+    # the uncached core, then the public memoized entry
+    assert _compose_cached.__wrapped__(d1, d2) == (product, removed)
+    assert compose(d1, d2) == (product, removed)
+    assert partition_key(product.blocks) == partition_key(blocks)
+
+
+@pytest.mark.parametrize("double_rank", [0, 1, 2, 3, 4])
+def test_compose_matches_block_oracle_on_all_pairs(double_rank):
+    basis = list(enumerate_diagrams(double_rank))
+    for d1 in basis:
+        for d2 in basis:
+            _assert_compose_matches_oracle(d1, d2)
+
+
+@pytest.mark.parametrize("double_rank", [5, 6, 7, 8])
+def test_compose_matches_block_oracle_on_seeded_pairs(double_rank):
+    rng = random.Random(double_rank)
+    basis = list(enumerate_diagrams(double_rank))
+    for _ in range(400):
+        _assert_compose_matches_oracle(rng.choice(basis), rng.choice(basis))
+
+
+def _is_restricted_growth(labels):
+    top = -1
+    for label in labels:
+        if not 0 <= label <= top + 1:
+            return False
+        top = max(top, label)
+    return True
+
+
+@pytest.mark.parametrize("double_rank", [0, 1, 2, 3, 4, 5, 6])
+def test_labels_round_trip_through_blocks_and_json(double_rank):
+    verts = list(range(1, (double_rank + 1) // 2 + 1))
+    verts += [-v for v in verts]
+    for d in enumerate_diagrams(double_rank):
+        assert _is_restricted_growth(d.labels)
+        assert len(d.labels) == len(verts)
+        # same label exactly when same block
+        owner = {v: i for i, b in enumerate(d.blocks) for v in b}
+        for i, u in enumerate(verts):
+            for j, v in enumerate(verts):
+                assert (d.labels[i] == d.labels[j]) == (owner[u] == owner[v])
+        assert Diagram(double_rank, d.blocks) is d
+        assert make_diagram(double_rank, [list(reversed(b)) for b in reversed(d.blocks)]) is d
+        assert Diagram.from_json(d.to_json()) is d
+        assert hash(d) == hash((double_rank, d.labels))
+
+
+def test_equal_diagrams_are_one_object():
+    a = make_diagram(4, [[2, 1], [-1, -2]])
+    b = make_diagram(4, [[-2, -1], [1, 2]])
+    assert a is b and a == b
+    assert a != make_diagram(4, [[1, -1], [2, -2]])
+    # the same partition at another rank is another diagram
+    assert make_diagram(3, [[1, -1], [2, -2]]) is not make_diagram(4, [[1, -1], [2, -2]])
+    basis = list(enumerate_diagrams(5))
+    assert all(x is y for x, y in zip(basis, enumerate_diagrams(5)))
+    p1 = make_diagram(2, [[1], [-1]])
+    assert compose(p1, p1)[0] is p1
+    assert copy.deepcopy(a) is a
+    assert pickle.loads(pickle.dumps(a)) is a
+    with pytest.raises(AttributeError):
+        a.labels = (0, 0, 0, 0)

@@ -7,17 +7,20 @@ from fractions import Fraction
 import pytest
 
 from partalg import structure
-from partalg.algebra import one
+from partalg.algebra import AlgebraElement, one, specialize
 from partalg.diagrams import Diagram, enumerate_diagrams
 from partalg.errors import BadParams, LimitExceeded
 from partalg.limits import LIMITS, check
 from partalg.murphy import M, Z, kappa_tensor_matrix, murphy_family, verify_murphy
+from partalg.scalars import parse_parameter
 from partalg.structure import (
     basic_construction_iso,
     char_decomposition_check,
+    eps_ratio,
     gram,
     matrix_units,
     radical_basis,
+    semisimple_verdict,
     specht,
     symmetrize,
 )
@@ -36,6 +39,9 @@ SIDE = CAP["tensor_side"] + 1
 # Built before any allocation is traced.
 ONE_PAST_SYMMETRIZE = one(CAP["symmetrize"] + 1, Fraction(3))
 P1 = Diagram(2, [[1], [-1]])
+# Parameters one bit past the height cap: a fraction and an integer.
+TALL = Fraction(1, 2 ** CAP["parameter_bits"] - 1)
+TALL_INT = 2 ** (CAP["parameter_bits"] - 1)
 
 # For each entry, the calls that ask for the first job past its cap,
 # in the entry's unit.
@@ -86,6 +92,23 @@ PAST_CAP = {
     "homomorphism_check_entries": [
         lambda: homomorphism_check(81, 2, CAP["homomorphism_check_entries"] // 81**2 + 1)
     ],
+    # bits of numerator plus denominator; every entry that parses n
+    "parameter_bits": [
+        lambda: gram(2, TALL),
+        lambda: gram(2, TALL_INT, "diagram"),
+        lambda: semisimple_verdict(2, TALL_INT),
+        lambda: eps_ratio(1, (), (), str(TALL)),
+        lambda: matrix_units(2, TALL),
+        lambda: char_decomposition_check(2, TALL),
+        lambda: basic_construction_iso(2, TALL),
+        lambda: radical_basis(2, TALL),
+        lambda: specht(2, (1,), TALL_INT),
+        lambda: symmetrize(one(2), 2, TALL),
+        lambda: specialize(one(2), TALL),
+        lambda: AlgebraElement.from_json(
+            {"double_rank": 2, "mode": {"n": str(TALL)}, "terms": []}
+        ),
+    ],
 }
 
 
@@ -119,6 +142,22 @@ def test_jobs_over_the_time_budget_are_refused():
         basic_construction_iso(2, 3, quadruples=200_000)
     with pytest.raises(LimitExceeded):
         verify_murphy(6, [4] * 13)
+    # did not finish in 60 s before the height cap
+    with pytest.raises(LimitExceeded, match="^parameter_bits: size 40 "):
+        gram(6, Fraction(1000003, 999983))
+
+
+def test_parameter_height_counts_numerator_and_denominator_bits():
+    cap = CAP["parameter_bits"]
+    assert parse_parameter(Fraction(-3, 61)) == Fraction(-3, 61)  # 2 + 6 bits
+    assert parse_parameter(2 ** (cap - 2)) == 2 ** (cap - 2)  # cap - 1 + 1 bits
+    assert parse_parameter("1/" + str(2 ** (cap - 1) - 1)) == Fraction(1, 2 ** (cap - 1) - 1)
+    for past in (Fraction(1, 2 ** (cap - 1)), -(2 ** (cap - 1)), TALL, TALL_INT):
+        with pytest.raises(LimitExceeded, match="^parameter_bits: "):
+            parse_parameter(past)
+    for bad in ("x", "1/0", None):
+        with pytest.raises(BadParams):
+            parse_parameter(bad)
 
 
 def test_check_takes_only_nonnegative_ints():

@@ -10,6 +10,7 @@ relations themselves.
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -25,6 +26,7 @@ from partalg.diagrams import enumerate_diagrams
 from partalg.linalg import PRIME, rank
 from partalg.scalars import Poly
 from partalg.structure import (
+    basic_construction_iso,
     char_decomposition_check,
     gram,
     matrix_units,
@@ -77,6 +79,19 @@ def test_gram_entries_are_trace_values(n):
                 product = multiply(a, b)
                 assert regular.matrix[i][j] == regular_trace(product)
                 assert closure.matrix[i][j] == trace(product)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, Fraction(-5, 7)))
+def test_gram_entries_are_ints_at_an_integral_parameter(n):
+    report = gram(6, n, want_det=False)
+    kind = Fraction if isinstance(n, Fraction) else int
+    assert all(type(v) is kind for row in report.matrix for v in row)
+    mode = Fraction(n)
+    elements = [diagram_element(d, 1, mode) for d in report.diagrams]
+    rng = random.Random(7)
+    for _ in range(300):
+        i, j = rng.randrange(len(elements)), rng.randrange(len(elements))
+        assert report.matrix[i][j] == regular_trace(multiply(elements[i], elements[j]))
 
 
 def _integer_roots(p: Poly) -> set[int]:
@@ -134,10 +149,31 @@ def test_char_decomposition():
         assert char_decomposition_check(dr, 3)["ok"]
 
 
-@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize("n", (3, 4, 5))
 def test_tower_matrix_units(n):
     for dr in range(5):
         unit_system_obeys_relations(matrix_units(dr, n))
+
+
+def _bell(m: int) -> int:
+    """Bell number by the Bell triangle."""
+    row = [1]
+    for _ in range(m):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[0]
+
+
+@pytest.mark.parametrize("n", (3, Fraction(-5, 7)))
+def test_basic_construction_spans_the_ideal(n):
+    # the ideal is everything but the (dr//2)! permutation diagrams
+    for dr in range(2, 6):
+        report = basic_construction_iso(dr, n, quadruples=10)
+        expected = _bell(dr) - factorial(dr // 2)
+        assert report["span_rank"] == report["ideal_dimension"] == expected
+        assert report["ok"]
 
 
 def test_symmetrize_central_and_basis_free():

@@ -329,10 +329,6 @@ def test_commutant_dims_rank_four_at_two():
     assert report["kernel_dim"] == kernel_dim
 
 
-def test_csv_dump_is_stable():
-    assert phi(P1, 2).to_csv() == "1,1\n1,1"
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     coeffs=st.lists(
