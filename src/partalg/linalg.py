@@ -1,18 +1,27 @@
 """Exact dense linear algebra over Q and over polynomial rings.
 
-Determinants, ranks and the singularity test share one elimination
-loop, run over Z (or another integral domain) or over Z/p.  Over a
-domain it is fraction-free (Bareiss) and stays inside any domain
-supporting exact division (int, Fraction, Poly); ``rank`` first scales
+Determinants and ranks share one fraction-free (Bareiss) elimination
+over Z or another integral domain; it stays inside any domain
+supporting exact division (int, Fraction, Poly).  ``rank`` first scales
 each row by the least common multiple of its denominators, so its
 elimination runs on Python ints and every intermediate entry is a minor
-of that integer matrix.  Over Z/p each update is reduced mod p instead.
+of that integer matrix.  Inverses work over Fraction entries via
+reduced row echelon form.  Every entry point raises ValueError on rows
+of unequal length, and on a non-square matrix where it needs a square
+one.
 
 ``singular`` answers det == 0 with a certificate either way: full rank
-mod p proves det != 0, and an integer kernel vector, lifted from Z/p by
-rational reconstruction and checked exactly over Z, proves det == 0.
-When the lift fails it takes the rank over Z.  Inverses work over
-Fraction entries via reduced row echelon form.
+mod the prime p = PRIME proves det != 0, and an integer kernel vector,
+lifted from Z/p by rational reconstruction and checked exactly over Z,
+proves det == 0.  When the lift fails it takes the rank over Z.
+
+Its elimination mod p holds each of the r rows as one Python int,
+column j in slot j of w bits, w = 2 bitlen(p) + bitlen(r) + 1 rounded
+up to a whole byte, so a row update is a single bigint multiply-add
+done in C.  Slots are not reduced mod p as the rows are updated: each
+update adds less than p**2 to a slot, and a row is updated at most once
+per pivot, so a slot stays below (r + 1) p**2 < 2**w and never carries
+into the next.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ def _exact_div(a, b):
     return a / b
 
 
-def _eliminate(m, p: int | None = None) -> tuple[int, int]:
+def _eliminate(m) -> tuple[int, int]:
     """One-step fraction-free (Bareiss) elimination of the rows m, in place.
 
     Pivots are taken row by row, each in the leftmost column that still
@@ -59,9 +68,8 @@ def _eliminate(m, p: int | None = None) -> tuple[int, int]:
     swaps); after the call m[rank - 1] holds the last pivot row, up to
     date, with its pivot at the end of its leading zeros.
 
-    With a prime p the entries are ints in [0, p).  Each pivot row is
-    scaled mod p so that its pivot is 1, and each update is
-    (a - lead * b) mod p, with no division; dens and prev then stay 1.
+    This is the only elimination over a domain; over Z/p, ``singular``
+    uses _eliminate_mod_p on packed rows.
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -82,9 +90,6 @@ def _eliminate(m, p: int | None = None) -> tuple[int, int]:
         top = m[row]
         if dens[row] != prev:
             top = m[row] = _divide_row([v * prev for v in top], dens[row])
-        if p:
-            inverse = pow(top[col], -1, p)
-            top = m[row] = [v * inverse % p for v in top]
         pivot = top[col]
         tail = top[col + 1 :]
         for r in range(row + 1, nrows):
@@ -92,16 +97,63 @@ def _eliminate(m, p: int | None = None) -> tuple[int, int]:
             lead = target[col]
             if not lead:
                 continue
-            if p:
-                target[col + 1 :] = [(a - lead * b) % p for a, b in zip(target[col + 1 :], tail)]
-            else:
-                values = [a * pivot - lead * b for a, b in zip(target[col + 1 :], tail)]
-                target[col + 1 :] = _divide_row(values, dens[r])
+            values = [a * pivot - lead * b for a, b in zip(target[col + 1 :], tail)]
+            target[col + 1 :] = _divide_row(values, dens[r])
             target[col] = lead - lead
             dens[r] = pivot
         prev = pivot
         row += 1
     return row, sign
+
+
+def _eliminate_mod_p(rows) -> list[list[int]]:
+    """The echelon rows of the integer rows mod PRIME, in [0, PRIME),
+    each with zeros before its pivot and scaled so the pivot is 1;
+    there are as many as the rank mod PRIME.
+
+    Pivots are chosen as in _eliminate: row by row, each in the leftmost
+    column with a nonzero entry at or below the current row, that row
+    swapped up.  Each row is packed into one int, column j in slot j of
+    w bits; the module docstring gives w and why no slot carries.  The
+    current column is kept in slot 0: every live row shifts right by w
+    as the column advances, so its lead is (row & mask) % p, and an
+    update is (row >> w) + (p - lead) * tail, tail being the pivot
+    row's later columns scaled mod p.  Only a pivot row is unpacked and
+    reduced, once.
+    """
+    p = PRIME
+    ncols = len(rows[0]) if rows else 0
+    size = -(-(2 * p.bit_length() + len(rows).bit_length() + 1) // 8)
+    shift = 8 * size
+    mask = (1 << shift) - 1
+    live = [_pack([v % p for v in row], size) for row in rows]
+    echelon = []
+    for col in range(ncols):
+        leads = [(v & mask) % p for v in live]
+        pivot_row = next((r for r, a in enumerate(leads) if a), None)
+        if pivot_row is not None:
+            top, lead = live[pivot_row], leads[pivot_row]
+            live[pivot_row], leads[pivot_row] = live[0], leads[0]
+            del live[0], leads[0]
+            data = top.to_bytes(size * (ncols - col), "little")
+            inverse = pow(lead, -1, p)
+            pivot = [
+                int.from_bytes(data[i : i + size], "little") * inverse % p
+                for i in range(0, len(data), size)
+            ]
+            echelon.append([0] * col + pivot)
+            tail = _pack(pivot[1:], size)
+        # in place, so each old row is freed as its new one is made;
+        # with no pivot every lead is 0 and tail is not read
+        for r, a in enumerate(leads):
+            live[r] = (live[r] >> shift) + (p - a) * tail if a else live[r] >> shift
+    return echelon
+
+
+def _pack(values, size: int) -> int:
+    """The nonnegative ints values as one int, the j-th in bytes
+    j * size to (j + 1) * size."""
+    return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
 
 
 def _divide_row(values, den):
@@ -117,10 +169,8 @@ def bareiss_det(matrix):
     * and - and either / (exact) or .exact_div().  Intermediate values
     stay in the same domain, never a fraction field.
     """
-    m = [list(row) for row in matrix]
+    m = _checked([list(row) for row in matrix], square=True)
     n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix is not square")
     if n == 0:
         return 1
     full, sign = _eliminate(m)
@@ -132,7 +182,7 @@ def bareiss_det(matrix):
 
 def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Fraction; returns (rows, pivot columns)."""
-    m = [[Fraction(v) for v in row] for row in matrix]
+    m = _checked([[Fraction(v) for v in row] for row in matrix])
     if not m:
         return [], []
     ncols = len(m[0])
@@ -164,26 +214,33 @@ def rank(matrix) -> int:
     """Rank over Q.  Entries may be ints or Fractions; each row is
     scaled to integers by its common denominator, then eliminated over
     Z without fractions."""
-    return _eliminate([_integer_row(row) for row in matrix])[0]
+    # _eliminate works in place, and _integer_row may return the caller's row
+    return _eliminate(_checked([list(_integer_row(row)) for row in matrix]))[0]
 
 
-def _integer_row(row) -> list[int]:
-    den = 1
-    for v in row:
-        if type(v) is not int:
-            den = lcm(den, Fraction(v).denominator)
-    if den == 1:
-        return [int(v) for v in row]
+def _checked(rows: list, square: bool = False) -> list:
+    """rows, once they are known to have one length: the number of rows
+    if square; ValueError otherwise."""
+    width = len(rows) if square else len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise ValueError("matrix is not square" if square else "matrix rows differ in length")
+    return rows
+
+
+def _integer_row(row):
+    """row scaled by the least common multiple of its denominators, as
+    ints; row itself, not a copy, when its entries are ints already."""
+    if all(type(v) is int for v in row):
+        return row
+    den = lcm(*(Fraction(v).denominator for v in row))
     return [int(Fraction(v) * den) for v in row]
 
 
 def invert(matrix) -> list[list[Fraction]]:
     """Inverse of a square matrix over Q; raises ValueError if singular."""
-    n = len(matrix)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
+    rows = _checked([[Fraction(v) for v in row] for row in matrix], square=True)
+    n = len(rows)
+    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
     reduced, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
@@ -193,41 +250,38 @@ def invert(matrix) -> list[list[Fraction]]:
 def singular(matrix) -> bool:
     """Whether a square matrix over Q has determinant zero, exactly.
 
-    Rows are scaled to integers and eliminated mod PRIME.  Full rank
-    mod p proves det != 0.  Otherwise the kernel vector of the first
-    free column is lifted to Q by rational reconstruction and its
-    denominators cleared; a nonzero integer w with M w = 0 over Z
-    proves det == 0.  If the lift or that check fails (p divides a
-    nonzero determinant, or the kernel needs larger entries), the rank
-    is taken over Z.
+    Rows are scaled to integers and eliminated mod PRIME by
+    _eliminate_mod_p, on packed rows whose w-bit slots never carry (see
+    the module docstring).  Full rank mod p proves det != 0.  Otherwise
+    the kernel vector of the first free column is lifted to Q by
+    rational reconstruction and its denominators cleared; a nonzero
+    integer w with M w = 0 over Z proves det == 0.  If the lift or that
+    check fails (p divides a nonzero determinant, or the kernel needs
+    larger entries), the rank is taken over Z.
     """
-    rows = [_integer_row(row) for row in matrix]
+    rows = _checked([_integer_row(row) for row in matrix], square=True)
     n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix is not square")
-    echelon = [[v % PRIME for v in row] for row in rows]
-    rank_mod_p = _eliminate(echelon, PRIME)[0]
-    if rank_mod_p == n:
+    echelon = _eliminate_mod_p(rows)
+    if len(echelon) == n:
         return False
-    w = _lifted_kernel_vector(echelon, rank_mod_p)
+    w = _lifted_kernel_vector(echelon)
     # w is nonzero at the free column, so M w = 0 means det M = 0
     if w is not None and not any(sum(a * b for a, b in zip(row, w)) for row in rows):
         return True
-    return _eliminate(rows)[0] < n
+    # copied: _eliminate works in place, and rows may be the caller's own
+    return _eliminate([list(row) for row in rows])[0] < n
 
 
-def _lifted_kernel_vector(echelon, rank_mod_p: int) -> list[int] | None:
+def _lifted_kernel_vector(echelon) -> list[int] | None:
     """An integer vector w, one entry per column up to the first free
     column f, with w[f] != 0 and w mod p in the kernel of the echelon
-    rows mod PRIME; None if an entry has no rational lift within
-    LIFT_BOUND.
+    rows mod PRIME (from _eliminate_mod_p); None if an entry has no
+    rational lift within LIFT_BOUND.
 
     Columns before f are the pivots, all 1, of the rows before f, so w
     is x[f] = 1 back-substituted through those rows, later columns zero.
     """
-    free = next(
-        (i for i, row in enumerate(echelon[:rank_mod_p]) if not row[i]), rank_mod_p
-    )
+    free = next((i for i, row in enumerate(echelon) if not row[i]), len(echelon))
     x = [0] * free + [1]
     for i in reversed(range(free)):
         row = echelon[i]

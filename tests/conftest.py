@@ -11,18 +11,22 @@ import pytest
 
 @pytest.fixture
 def elimination_moduli(monkeypatch) -> list:
-    """The modulus (None over Z) of every linalg._eliminate call the
-    test makes, in order."""
+    """The modulus of every elimination the test makes, in order:
+    PRIME for each linalg._eliminate_mod_p call, None for each
+    linalg._eliminate call (over Z)."""
     from partalg import linalg
 
     moduli = []
-    eliminate = linalg._eliminate
 
-    def spy(m, p=None):
-        moduli.append(p)
-        return eliminate(m, p)
+    def spy(kernel, modulus):
+        def call(rows):
+            moduli.append(modulus)
+            return kernel(rows)
 
-    monkeypatch.setattr(linalg, "_eliminate", spy)
+        return call
+
+    monkeypatch.setattr(linalg, "_eliminate_mod_p", spy(linalg._eliminate_mod_p, linalg.PRIME))
+    monkeypatch.setattr(linalg, "_eliminate", spy(linalg._eliminate, None))
     return moduli
 
 

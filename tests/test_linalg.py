@@ -4,7 +4,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from partalg.linalg import PRIME, bareiss_det, invert, rank, rref, singular
+from partalg.linalg import (
+    PRIME,
+    _eliminate_mod_p,
+    bareiss_det,
+    invert,
+    rank,
+    rref,
+    singular,
+)
 from partalg.scalars import Poly
 
 
@@ -221,3 +229,102 @@ def test_singular_falls_back_when_the_kernel_is_too_large_to_lift(elimination_mo
     elimination_moduli.clear()
     assert singular(m)
     assert elimination_moduli == [PRIME, None]
+
+
+def list_eliminate_mod_p(rows):
+    """The list-based elimination mod PRIME that the packed kernel
+    replaced, kept as its oracle: each pivot row scaled so its pivot is
+    1, each update (a - lead * b) mod p.  Returns the pivot rows."""
+    m = [[v % PRIME for v in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        pivot_row = next((r for r in range(row, nrows) if m[r][col]), None)
+        if pivot_row is None:
+            continue
+        m[row], m[pivot_row] = m[pivot_row], m[row]
+        inverse = pow(m[row][col], -1, PRIME)
+        top = m[row] = [v * inverse % PRIME for v in m[row]]
+        tail = top[col + 1 :]
+        for r in range(row + 1, nrows):
+            target = m[r]
+            lead = target[col]
+            if lead:
+                target[col + 1 :] = [(a - lead * b) % PRIME for a, b in zip(target[col + 1 :], tail)]
+                target[col] = 0
+        row += 1
+    assert not any(any(r) for r in m[row:])
+    return m[:row]
+
+
+def worst_growth(size):
+    """L U mod PRIME with L unit lower triangular, ones below the
+    diagonal, and U unit upper triangular, PRIME - 1 above it: at every
+    pivot each row below has lead 1 and the scaled pivot tail is all
+    PRIME - 1, so each update adds (PRIME - 1)**2 to every slot."""
+    return [[(-min(i, j) + (1 if j <= i else -1)) % PRIME for j in range(size)] for i in range(size)]
+
+
+def packed_cases():
+    rng = random.Random(8)
+    entries = [
+        lambda: rng.randint(-3, 3),
+        lambda: rng.choice((0, 0, 1)),
+        lambda: rng.randint(-(2**64), 2**64),
+        lambda: rng.randrange(PRIME),
+    ]
+    cases = [[], [[]], [[0]], [[5]], [[PRIME]], [[0] * 6 for _ in range(5)]]
+    cases += [[[PRIME - 1] * size for _ in range(size)] for size in (1, 2, 7, 32, 64)]
+    for entry in entries:
+        for rows, cols in [(12, 12), (40, 8), (8, 40)]:
+            cases.append([[entry() for _ in range(cols)] for _ in range(rows)])
+            cases.append(random_low_rank(rng, rows, cols, min(rows, cols) // 2, entry))
+        m = [[entry() for _ in range(9)] for _ in range(9)]
+        for row in m:
+            row[4] = 0
+        cases.append(m)
+    return cases
+
+
+def test_packed_elimination_matches_list_oracle():
+    for m in packed_cases():
+        assert _eliminate_mod_p(m) == list_eliminate_mod_p(m), m
+
+
+def test_packed_elimination_survives_worst_slot_growth():
+    for size in (2, 9, 100):
+        m = worst_growth(size)
+        echelon = _eliminate_mod_p(m)
+        assert echelon == list_eliminate_mod_p(m)
+        assert len(echelon) == size
+        assert all(row[i + 1 :] == [PRIME - 1] * (size - 1 - i) for i, row in enumerate(echelon))
+
+
+def test_packed_elimination_matches_list_oracle_on_gram_matrices():
+    from partalg.structure import gram
+
+    for n in range(2, 6):
+        m = gram(5, n, "regular", want_det=False).matrix
+        echelon = _eliminate_mod_p(m)
+        assert echelon == list_eliminate_mod_p(m)
+        assert len(echelon) == rank(m)
+
+
+@pytest.mark.parametrize(
+    "call, matrix",
+    [
+        (rank, [[1], [2, 3]]),
+        (rank, [[1, 2], [2]]),
+        (rref, [[1, 2], [3]]),
+        (invert, [[1, 0, 0], [0, 1, 0]]),
+        (invert, [[1], [0, 1]]),
+        (bareiss_det, [[1, 2], [3]]),
+        (singular, [[1], [2, 3]]),
+    ],
+)
+def test_malformed_matrices_raise_value_error(call, matrix):
+    with pytest.raises(ValueError):
+        call(matrix)
