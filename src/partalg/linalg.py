@@ -13,7 +13,9 @@ one.
 ``singular`` answers det == 0 with a certificate either way: full rank
 mod the prime p = PRIME proves det != 0, and an integer kernel vector,
 lifted from Z/p by rational reconstruction and checked exactly over Z,
-proves det == 0.  When the lift fails it takes the rank over Z.
+proves det == 0.  When the lift fails it takes the rank over Z.  The
+elimination mod p stops at the first column without a pivot, because
+the kernel vector of that column reads nothing to its right.
 
 Its elimination mod p holds each of the r rows as one Python int,
 column j in slot j of w bits, w = 2 bitlen(p) + bitlen(r) + 1 rounded
@@ -108,16 +110,20 @@ def _eliminate(m) -> tuple[int, int]:
 
 def _eliminate_mod_p(rows) -> list[list[int]]:
     """The echelon rows of the integer rows mod PRIME, in [0, PRIME),
-    each with zeros before its pivot and scaled so the pivot is 1;
-    there are as many as the rank mod PRIME.
+    up to the first free column f: f rows, row i zero before its pivot
+    at column i and scaled so the pivot is 1.  Stopping there loses
+    nothing singular reads, since _lifted_kernel_vector needs only
+    these rows; f equals the number of columns exactly when the columns
+    are independent mod PRIME.
 
     Pivots are chosen as in _eliminate: row by row, each in the leftmost
     column with a nonzero entry at or below the current row, that row
-    swapped up.  Each row is packed into one int, column j in slot j of
-    w bits; the module docstring gives w and why no slot carries.  The
-    current column is kept in slot 0: every live row shifts right by w
-    as the column advances, so its lead is (row & mask) % p, and an
-    update is (row >> w) + (p - lead) * tail, tail being the pivot
+    swapped up, so the rows returned are the first f of the full
+    echelon form.  Each row is packed into one int, column j in slot j
+    of w bits; the module docstring gives w and why no slot carries.
+    The current column is kept in slot 0: every live row shifts right
+    by w as the column advances, so its lead is (row & mask) % p, and
+    an update is (row >> w) + (p - lead) * tail, tail being the pivot
     row's later columns scaled mod p.  Only a pivot row is unpacked and
     reduced, once.
     """
@@ -131,20 +137,20 @@ def _eliminate_mod_p(rows) -> list[list[int]]:
     for col in range(ncols):
         leads = [(v & mask) % p for v in live]
         pivot_row = next((r for r, a in enumerate(leads) if a), None)
-        if pivot_row is not None:
-            top, lead = live[pivot_row], leads[pivot_row]
-            live[pivot_row], leads[pivot_row] = live[0], leads[0]
-            del live[0], leads[0]
-            data = top.to_bytes(size * (ncols - col), "little")
-            inverse = pow(lead, -1, p)
-            pivot = [
-                int.from_bytes(data[i : i + size], "little") * inverse % p
-                for i in range(0, len(data), size)
-            ]
-            echelon.append([0] * col + pivot)
-            tail = _pack(pivot[1:], size)
-        # in place, so each old row is freed as its new one is made;
-        # with no pivot every lead is 0 and tail is not read
+        if pivot_row is None:
+            break
+        top, lead = live[pivot_row], leads[pivot_row]
+        live[pivot_row], leads[pivot_row] = live[0], leads[0]
+        del live[0], leads[0]
+        data = top.to_bytes(size * (ncols - col), "little")
+        inverse = pow(lead, -1, p)
+        pivot = [
+            int.from_bytes(data[i : i + size], "little") * inverse % p
+            for i in range(0, len(data), size)
+        ]
+        echelon.append([0] * col + pivot)
+        tail = _pack(pivot[1:], size)
+        # in place, so each old row is freed as its new one is made
         for r, a in enumerate(leads):
             live[r] = (live[r] >> shift) + (p - a) * tail if a else live[r] >> shift
     return echelon
@@ -252,12 +258,13 @@ def singular(matrix) -> bool:
 
     Rows are scaled to integers and eliminated mod PRIME by
     _eliminate_mod_p, on packed rows whose w-bit slots never carry (see
-    the module docstring).  Full rank mod p proves det != 0.  Otherwise
-    the kernel vector of the first free column is lifted to Q by
-    rational reconstruction and its denominators cleared; a nonzero
-    integer w with M w = 0 over Z proves det == 0.  If the lift or that
-    check fails (p divides a nonzero determinant, or the kernel needs
-    larger entries), the rank is taken over Z.
+    the module docstring), up to the first column without a pivot,
+    which is as far as its kernel vector reads.  Full rank mod p proves
+    det != 0.  Otherwise the kernel vector of that first free column is
+    lifted to Q by rational reconstruction and its denominators
+    cleared; a nonzero integer w with M w = 0 over Z proves det == 0.
+    If the lift or that check fails (p divides a nonzero determinant,
+    or the kernel needs larger entries), the rank is taken over Z.
     """
     rows = _checked([_integer_row(row) for row in matrix], square=True)
     n = len(rows)
@@ -274,14 +281,14 @@ def singular(matrix) -> bool:
 
 def _lifted_kernel_vector(echelon) -> list[int] | None:
     """An integer vector w, one entry per column up to the first free
-    column f, with w[f] != 0 and w mod p in the kernel of the echelon
-    rows mod PRIME (from _eliminate_mod_p); None if an entry has no
-    rational lift within LIFT_BOUND.
+    column f = len(echelon), with w[f] != 0 and w mod p in the kernel
+    of the echelon rows mod PRIME (from _eliminate_mod_p); None if an
+    entry has no rational lift within LIFT_BOUND.
 
-    Columns before f are the pivots, all 1, of the rows before f, so w
+    Columns before f are the pivots, all 1, of the f echelon rows, so w
     is x[f] = 1 back-substituted through those rows, later columns zero.
     """
-    free = next((i for i, row in enumerate(echelon) if not row[i]), len(echelon))
+    free = len(echelon)
     x = [0] * free + [1]
     for i in reversed(range(free)):
         row = echelon[i]

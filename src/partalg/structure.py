@@ -2,8 +2,16 @@
 
 Two trace forms drive everything here.  The diagram trace closes a
 diagram up and counts components; the regular trace reads the diagonal
-of left multiplication on the diagram basis.  Gram matrices of either
-form, with exact determinants, give semisimplicity verdicts; per-vertex
+of left multiplication on the diagram basis.  A diagram is a top half
+(its top-row blocks, each marked propagating or not), a matching of the
+propagating blocks, and a bottom half (Martin, J. Algebra 183, 1996).
+Left multiplication never reads the bottom half: whether d e = x^r e,
+and r, depend on e only through its top half, because stacking d on e
+joins d's blocks to e's top-row blocks alone and passes e's bottom row
+through.  So the regular trace of a diagram takes one composition per
+top half, not per basis diagram.  Gram matrices of either form are
+symmetric, so half of each is computed; with exact determinants they
+give semisimplicity verdicts; per-vertex
 character polynomials in the parameter give the trace weights level by
 level, and their ratios along branching-graph edges normalize a
 recursive construction of matrix units.  On top of those sit the
@@ -46,6 +54,7 @@ from .combinatorics import (
 from .diagrams import (
     Diagram,
     closure_components,
+    columns,
     compose,
     enumerate_diagrams,
     identity_diagram,
@@ -153,15 +162,39 @@ def _at(value: Poly, mode) -> Scalar:
 
 
 @lru_cache(maxsize=None)
+def _top_halves(double_rank: int) -> tuple[tuple[Diagram, int], ...]:
+    """The basis grouped by top half: (a representative, the group's
+    size) per group.  A top half is the labels of the top row, with
+    the set of those labels that also occur in the bottom row."""
+    k2 = columns(double_rank)
+    groups: dict[tuple, list] = {}
+    for e in _basis(double_rank):
+        top = e.labels[:k2]
+        key = (top, frozenset(top).intersection(e.labels[k2:]))
+        group = groups.setdefault(key, [e, 0])
+        group[1] += 1
+    return tuple((e, count) for e, count in groups.values())
+
+
+@lru_cache(maxsize=None)
 def _regular_value(d: Diagram) -> Poly:
     """Generic regular trace of one diagram: the sum of x^r over the
-    basis diagrams e with d e = x^r e."""
-    total = Poly(())
-    for e in _basis(d.double_rank):
+    basis diagrams e with d e = x^r e.
+
+    Whether d e = x^r e, and r, depend on e only through its top half
+    (_top_halves): stacking d on e joins d's blocks to e's blocks that
+    meet the top row and nothing else, so the removed components and
+    the top rim of d e come from d and those blocks alone, and e's
+    bottom row passes through unchanged.  So one composition per top
+    half suffices, weighted by the number of basis diagrams sharing it.
+    """
+    # r <= K: each removed component holds a middle vertex
+    coeffs = [0] * (columns(d.double_rank) + 1)
+    for e, count in _top_halves(d.double_rank):
         out, r = compose(d, e)
-        if out == e:
-            total = total + Poly.x() ** r
-    return total
+        if out is e:
+            coeffs[r] += count
+    return Poly(coeffs)
 
 
 def regular_trace(a: AlgebraElement) -> Scalar:
@@ -170,7 +203,7 @@ def regular_trace(a: AlgebraElement) -> Scalar:
     Linear in a: each diagram contributes its coefficient times its own
     regular trace, evaluated at the element's parameter.  Diagram
     values are cached, so a first call costs one composition per term
-    and basis diagram, and no products.
+    and top half, and no products.
     """
     total = Fraction(0) if a.mode is not None else Poly(())
     for d, c in a.terms.items():
@@ -199,7 +232,9 @@ def gram(
 
     Entries are exact: polynomials in generic mode, ints at an integral
     parameter n (each regular value is evaluated once to an int, and
-    an entry is n**r times it), and Fractions at any other n.  The
+    an entry is n**r times it), and Fractions at any other n.  Both
+    forms are traces, so tr(a b) = tr(b a): the entries on and above
+    the diagonal are computed and mirrored below it.  The
     determinant uses fraction-free elimination, over Z at a numeric
     parameter once each row is scaled to integers.  The double rank
     and the height of n are capped in partalg.limits.
@@ -228,7 +263,11 @@ def gram(
             d, r = compose(a, b)
             return _param_power(point, r + closure_components(d))
 
-    matrix = tuple(tuple(entry(a, b) for b in basis) for a in basis)
+    # the entries with j >= i, mirrored below the diagonal
+    upper = [[entry(a, b) for b in basis[i:]] for i, a in enumerate(basis)]
+    matrix = tuple(
+        tuple([upper[j][i - j] for j in range(i)] + row) for i, row in enumerate(upper)
+    )
     det: Scalar | None = None
     if want_det:
         if mode is None:
@@ -249,6 +288,11 @@ def semisimple_verdict(double_rank: int, n: int) -> dict:
     linalg.singular: certified by full rank mod a prime, or by an exact
     integer kernel vector, without computing the determinant itself
     (gram(double_rank, n).det gives it).
+
+    >>> semisimple_verdict(4, 2)["by_gram"]
+    False
+    >>> semisimple_verdict(4, 3)["by_gram"]
+    True
     """
     point = parse_parameter(n)
     if point.denominator != 1 or point < 2:
@@ -628,7 +672,8 @@ def symmetrize(
     """Averages a over the algebra: sum of b a b* with b* the dual
     basis of the regular trace form.  The result is central; it does
     not depend on the basis choice, which the optional argument lets
-    tests exercise."""
+    tests exercise.  On the diagram basis the form is read from gram;
+    on another basis it is the regular trace of each product."""
     check("symmetrize", double_rank)
     point = parse_parameter(n)
     if a.double_rank != double_rank:
@@ -639,11 +684,10 @@ def symmetrize(
         raise ModeMismatch("element is specialized at a different parameter")
     if basis is None:
         basis = [diagram_element(d, 1, point) for d in _basis(double_rank)]
+        table = gram(double_rank, point, want_det=False).matrix
     else:
         basis = list(basis)
-    table = [
-        [regular_trace(multiply(u, v)) for v in basis] for u in basis
-    ]
+        table = [[regular_trace(multiply(u, v)) for v in basis] for u in basis]
     try:
         inverse = invert(table)
     except ValueError:

@@ -260,6 +260,12 @@ def list_eliminate_mod_p(rows):
     return m[:row]
 
 
+def before_first_free(echelon):
+    """The rows of a full echelon form before its first free column:
+    what _eliminate_mod_p returns."""
+    return echelon[: next((i for i, row in enumerate(echelon) if not row[i]), len(echelon))]
+
+
 def worst_growth(size):
     """L U mod PRIME with L unit lower triangular, ones below the
     diagonal, and U unit upper triangular, PRIME - 1 above it: at every
@@ -291,7 +297,7 @@ def packed_cases():
 
 def test_packed_elimination_matches_list_oracle():
     for m in packed_cases():
-        assert _eliminate_mod_p(m) == list_eliminate_mod_p(m), m
+        assert _eliminate_mod_p(m) == before_first_free(list_eliminate_mod_p(m)), m
 
 
 def test_packed_elimination_survives_worst_slot_growth():
@@ -308,9 +314,30 @@ def test_packed_elimination_matches_list_oracle_on_gram_matrices():
 
     for n in range(2, 6):
         m = gram(5, n, "regular", want_det=False).matrix
-        echelon = _eliminate_mod_p(m)
-        assert echelon == list_eliminate_mod_p(m)
-        assert len(echelon) == rank(m)
+        full = list_eliminate_mod_p(m)
+        assert _eliminate_mod_p(m) == before_first_free(full)
+        assert len(full) == rank(m)
+
+
+def test_packed_elimination_stops_at_the_first_free_column():
+    from partalg.structure import gram
+
+    counts = []
+    for n in range(2, 6):
+        m = gram(6, n, "regular", want_det=False).matrix
+        expected = before_first_free(list_eliminate_mod_p(m))
+        assert _eliminate_mod_p(m) == expected
+        counts.append(len(expected))
+    # the first free columns; the last matrix has full rank
+    assert counts == [4, 39, 51, 203]
+
+
+def test_zero_first_column_is_singular_without_elimination_over_z(elimination_moduli):
+    m = [[0, 1, 2], [0, 3, 4], [0, 5, 7]]
+    assert _eliminate_mod_p(m) == []
+    elimination_moduli.clear()
+    assert singular(m)
+    assert elimination_moduli == [PRIME]
 
 
 @pytest.mark.parametrize(

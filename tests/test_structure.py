@@ -22,7 +22,7 @@ from partalg.algebra import (
     specialize,
     trace,
 )
-from partalg.diagrams import enumerate_diagrams
+from partalg.diagrams import closure_components, compose, enumerate_diagrams
 from partalg.linalg import PRIME, rank
 from partalg.scalars import Poly
 from partalg.structure import (
@@ -31,6 +31,7 @@ from partalg.structure import (
     gram,
     matrix_units,
     radical_basis,
+    _regular_value,
     regular_trace,
     semisimple_verdict,
     symmetrize,
@@ -64,6 +65,42 @@ def test_regular_trace_is_trace_of_left_multiplication(mode):
         elements.append(_element(dr, mode, rng))
         for a in elements:
             assert regular_trace(a) == _left_multiplication_trace(a)
+
+
+def _swept_regular_value(d) -> Poly:
+    """Regular trace of d by a sweep over the whole basis: the sum of
+    x^r over every basis diagram e with d e = x^r e."""
+    total = Poly(())
+    for e in enumerate_diagrams(d.double_rank):
+        out, r = compose(d, e)
+        if out == e:
+            total = total + Poly.x() ** r
+    return total
+
+
+def test_regular_values_match_a_sweep_over_the_basis():
+    for dr in range(7):
+        for d in enumerate_diagrams(dr):
+            assert _regular_value(d) == _swept_regular_value(d), d
+    basis = list(enumerate_diagrams(7))
+    for d in random.Random(9).sample(basis, 100):
+        assert _regular_value(d) == _swept_regular_value(d), d
+
+
+@pytest.mark.parametrize("n", (None, 3, Fraction(-5, 7)))
+def test_gram_entries_match_the_pair_formula(n):
+    def at(value: Poly):
+        return value if n is None else value(Fraction(n))
+
+    x = Poly.x()
+    for dr in range(5):
+        regular = gram(dr, n, "regular", want_det=False)
+        closure = gram(dr, n, "diagram", want_det=False)
+        for i, a in enumerate(regular.diagrams):
+            for j, b in enumerate(regular.diagrams):
+                d, r = compose(a, b)
+                assert regular.matrix[i][j] == at(x**r * _swept_regular_value(d))
+                assert closure.matrix[i][j] == at(x ** (r + closure_components(d)))
 
 
 @pytest.mark.parametrize("n", (None, 3))
