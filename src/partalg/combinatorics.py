@@ -57,7 +57,10 @@ def counting(kind: str, m: int) -> int:
 
 
 def _validate(lam) -> Partition:
-    parts = tuple(int(p) for p in lam)
+    try:
+        parts = tuple(int(p) for p in lam)
+    except (TypeError, ValueError):
+        raise BadParams(f"{lam!r} is not a partition") from None
     if any(p <= 0 for p in parts) or any(
         parts[i] < parts[i + 1] for i in range(len(parts) - 1)
     ):

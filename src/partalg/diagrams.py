@@ -75,6 +75,11 @@ def columns(double_rank: int) -> int:
     return (double_rank + 1) // 2
 
 
+def _strands(double_rank: int, skip) -> list[list[int]]:
+    """Vertical strands [m, -m] on every column not in skip."""
+    return [[m, -m] for m in range(1, columns(double_rank) + 1) if m not in skip]
+
+
 def vertex_universe(double_rank: int) -> tuple[int, ...]:
     k2 = columns(double_rank)
     return tuple(range(1, k2 + 1)) + tuple(range(-1, -k2 - 1, -1))
@@ -328,29 +333,26 @@ def generator(kind: str, index, double_rank: int) -> Diagram:
     k2 = columns(double_rank)
     half = double_rank % 2 == 1
     idx = _gen_index(index)
-
-    def strands(skip):
-        return [[m, -m] for m in range(1, k2 + 1) if m not in skip]
     if kind == "s":
         if idx.denominator != 1 or not 1 <= idx <= k2 - 1 - (1 if half else 0):
             raise IndexOutOfRange(f"s_{index} undefined at rank {Fraction(double_rank, 2)}")
         i = int(idx)
-        return Diagram(double_rank, [[i, -(i + 1)], [i + 1, -i]] + strands({i, i + 1}))
+        return Diagram(double_rank, [[i, -(i + 1)], [i + 1, -i]] + _strands(double_rank, {i, i + 1}))
     if kind == "e":
         if idx.denominator != 1 or not 1 <= idx <= k2 - 1 - (1 if half else 0):
             raise IndexOutOfRange(f"e_{index} undefined at rank {Fraction(double_rank, 2)}")
         i = int(idx)
-        return Diagram(double_rank, [[i, i + 1], [-i, -(i + 1)]] + strands({i, i + 1}))
+        return Diagram(double_rank, [[i, i + 1], [-i, -(i + 1)]] + _strands(double_rank, {i, i + 1}))
     if kind == "p":
         if idx.denominator == 1:
             j = int(idx)
             if not 1 <= j <= k2 - (1 if half else 0):
                 raise IndexOutOfRange(f"p_{index} undefined at rank {Fraction(double_rank, 2)}")
-            return Diagram(double_rank, [[j], [-j]] + strands({j}))
+            return Diagram(double_rank, [[j], [-j]] + _strands(double_rank, {j}))
         i = int(idx - Fraction(1, 2))
         if not 1 <= i <= k2 - 1:
             raise IndexOutOfRange(f"p_{index} undefined at rank {Fraction(double_rank, 2)}")
-        return Diagram(double_rank, [[i, i + 1, -i, -(i + 1)]] + strands({i, i + 1}))
+        return Diagram(double_rank, [[i, i + 1, -i, -(i + 1)]] + _strands(double_rank, {i, i + 1}))
     raise IndexOutOfRange(f"unknown generator kind {kind!r}")
 
 

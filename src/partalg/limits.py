@@ -51,12 +51,18 @@ LIMITS = {
 }
 
 
+def _nonnegative(name: str, size) -> int:
+    """Returns size if it is an int >= 0 (a bool is not), else raises
+    BadParams."""
+    if isinstance(size, bool) or not isinstance(size, int) or size < 0:
+        raise BadParams(f"{name}: size must be a nonnegative int, not {size!r}")
+    return size
+
+
 def check(name: str, size: int) -> int:
     """Returns size if the entry may start a job of that size; raises
     BadParams unless size is an int >= 0 (a bool is not) and
     LimitExceeded over the cap."""
-    if isinstance(size, bool) or not isinstance(size, int) or size < 0:
-        raise BadParams(f"{name}: size must be a nonnegative int, not {size!r}")
-    if size > LIMITS[name]:
+    if _nonnegative(name, size) > LIMITS[name]:
         raise LimitExceeded(f"{name}: size {size} exceeds the cap {LIMITS[name]}")
     return size

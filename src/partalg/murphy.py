@@ -10,8 +10,9 @@ and bottom part (``d_i``).  Signed half-sums of the splittings give
 commutation, centrality of ``Z``, the tensor-action identity relating
 ``Z`` to the sum of transposition actions on labelings, and the joint
 spectra of the family on labelings compared with box-content
-predictions read off walks in the concrete branching graph.  The
-additive offsets at the two lowest ranks are measured, not assumed.
+predictions read off walks in the concrete branching graph.  Ranks 0
+and 1/2 of ``Z`` are set to the identity, so M(1) = p_1 - 1 and the
+content value of the first step, that of p_1, is lowered by 1.
 """
 
 from __future__ import annotations
@@ -29,12 +30,20 @@ from .algebra import (
     one,
     specialize,
 )
-from .combinatorics import build_bratteli, syt_dimension
-from .diagrams import Diagram, columns, enumerate_diagrams, generator
+from .combinatorics import build_bratteli, hooks_and_contents, syt_dimension
+from .diagrams import (
+    Diagram,
+    _p_indices,
+    _strands,
+    columns,
+    enumerate_diagrams,
+    generator,
+)
 from .errors import BadParams, BadSubset
-from .limits import check
+from .limits import _nonnegative, check
 from .linalg import rank as matrix_rank
 from .scalars import Poly
+from .symgroup import transposition
 from .tensor import EndoMatrix, _side, phi, sym_tensor_matrix
 
 __all__ = [
@@ -51,7 +60,7 @@ __all__ = [
 
 
 def _check_columns(double_rank: int, subset) -> tuple[int, ...]:
-    cols = columns(double_rank)
+    cols = columns(_nonnegative("double rank", double_rank))
     try:
         s = tuple(sorted({int(v) for v in subset}))
     except (TypeError, ValueError) as exc:
@@ -61,10 +70,6 @@ def _check_columns(double_rank: int, subset) -> tuple[int, ...]:
     if s[0] < 1 or s[-1] > cols:
         raise BadSubset(f"columns must lie in 1..{cols}")
     return s
-
-
-def _strands(double_rank: int, skip) -> list[list[int]]:
-    return [[m, -m] for m in range(1, columns(double_rank) + 1) if m not in skip]
 
 
 def b_s(double_rank: int, subset) -> Diagram:
@@ -148,9 +153,9 @@ def p_tilde_s(double_rank: int, subset) -> AlgebraElement:
     splits that merely drop one of the other columns are left out.  The
     split cutting off the last column pair itself stays in.
     """
+    s = _check_columns(double_rank, subset)
     if double_rank % 2 == 0:
         raise BadSubset("pinned variant is defined at half ranks only")
-    s = _check_columns(double_rank, subset)
     cols = columns(double_rank)
     if cols not in s:
         raise BadSubset("subset must contain the last column")
@@ -273,24 +278,14 @@ def kappa_tensor_matrix(n: int, slots: int, *, fixed_last: bool = False) -> Endo
     total = EndoMatrix.zero(n, slots)
     for a in range(1, top + 1):
         for b in range(a + 1, top + 1):
-            images = list(range(1, n + 1))
-            images[a - 1], images[b - 1] = b, a
-            total = total + sym_tensor_matrix(images, n, slots)
+            total = total + sym_tensor_matrix(transposition(a, b, n).images, n, slots)
     return total
 
 
 def _generator_diagrams(double_rank: int) -> list[Diagram]:
-    cols = columns(double_rank)
-    top = cols - (1 if double_rank % 2 else 0)
-    out = []
-    for i in range(1, top):
-        out.append(generator("s", i, double_rank))
-        out.append(generator("e", i, double_rank))
-    for j in range(1, top + 1):
-        out.append(generator("p", j, double_rank))
-    for i in range(1, cols):
-        out.append(generator("p", Fraction(2 * i + 1, 2), double_rank))
-    return out
+    top = columns(double_rank) - double_rank % 2
+    out = [generator(kind, i, double_rank) for i in range(1, top) for kind in "se"]
+    return out + [generator("p", a, double_rank) for a in _p_indices(double_rank)]
 
 
 def _joint_nullity(mats: Sequence[EndoMatrix], values: Sequence[int]) -> int:
@@ -303,118 +298,51 @@ def _joint_nullity(mats: Sequence[EndoMatrix], values: Sequence[int]) -> int:
     return mats[0].side - matrix_rank(stacked)
 
 
-def _measured_spectrum(m: EndoMatrix, window: range) -> dict[int, int]:
-    nullities = {t: _joint_nullity([m], [t]) for t in window}
-    return {t: nu for t, nu in nullities.items() if nu}
-
-
-def _added_box(smaller, larger) -> tuple[int, int]:
-    for r in range(len(larger)):
-        before = smaller[r] if r < len(smaller) else 0
-        if larger[r] == before + 1:
-            return r + 1, larger[r]
-    raise BadParams(f"{larger} does not extend {smaller}")
-
-
 def _step_value(prev, cur, n: int) -> int:
-    """Predicted family eigenvalue for one walk step, by the content of
-    the moved box; first-row moves give the size-based branch."""
-    if sum(cur) > sum(prev):
-        row, col = _added_box(prev, cur)
-        if row == 1:
-            return n - sum(cur[1:])
-        return (col - row) + 1
-    row, col = _added_box(cur, prev)
-    if row == 1:
-        return sum(prev[1:])
-    return n - 1 - (col - row)
+    """Predicted family eigenvalue for one walk step of the concrete
+    graph: c + 1 when the step adds a box of content c, n - 1 - c when
+    it removes one."""
+    change = sum(hooks_and_contents(cur)[1]) - sum(hooks_and_contents(prev)[1])
+    return change + 1 if sum(cur) > sum(prev) else n - 1 + change
 
 
-def _predicted_boundary(n: int) -> dict[int, int]:
-    graph = build_bratteli("concrete", 2, n)
-    out: dict[int, int] = {}
-    for vertex in graph.levels[2]:
-        value = _step_value(graph.levels[1][0], vertex, n)
-        out[value] = out.get(value, 0) + (
-            syt_dimension(vertex) * graph.path_count(2, vertex)
-        )
-    return out
+def _spectra_report(family, double_rank: int, n: int) -> dict:
+    """Joint spectra of M(1), ..., M(double_rank/2) on the labelings of
+    n**k slots against the walks of the concrete graph at n.
 
-
-def _boundary_offset(n: int, measured: dict[int, int]) -> int | None:
-    predicted = _predicted_boundary(n)
-    if len(measured) != len(predicted):
-        return None
-    pairs = list(zip(sorted(measured.items()), sorted(predicted.items())))
-    deltas = {mv - pv for (mv, mm), (pv, pm) in pairs}
-    if len(deltas) != 1:
-        return None
-    if any(mm != pm for (mv, mm), (pv, pm) in pairs):
-        return None
-    return deltas.pop()
-
-
-def _spectra_report(double_rank: int, n: int) -> dict:
-    slots = double_rank // 2
-    side = n**slots
-    family = murphy_family(double_rank)
-    mats = {rank: phi(specialize(elem, n), n) for rank, elem in family}
-
-    half_spec = _measured_spectrum(mats[Fraction(1, 2)], range(0, 3))
-    offset_half = (
-        1 - 0 if half_spec == {1: side} else None
-    )
-
-    boundary = phi(specialize(M(2), n), n)
-    window = range(-(n + double_rank), 2 * n + double_rank + 1)
-    measured_boundary = _measured_spectrum(boundary, window)
-    complete = sum(measured_boundary.values()) == n
-    offset_one = _boundary_offset(n, measured_boundary) if complete else None
-
-    report = {
-        "n": n,
-        "side": side,
-        "offset_half": offset_half,
-        "offset_one": offset_one,
-        "boundary_complete": complete,
-        "tuples": [],
-        "ok": False,
-    }
-    if offset_half is None or offset_one is None:
-        return report
-
+    Each walk predicts one tuple, the content values of its steps after
+    the first half step (M(1/2) is the identity), with the first value
+    lowered by 1 because M(1) = p_1 - 1; the tuple's multiplicity is
+    the number of its walks times dim S^lam at their end.  Joint kernels
+    of distinct tuples are independent, so when each predicted kernel
+    has the predicted dimension and these add up to n**k, the kernels
+    span the whole space and no eigenvalue is left unchecked.
+    """
+    side = n ** (double_rank // 2)
     graph = build_bratteli("concrete", double_rank, n)
     predicted: dict[tuple[int, ...], int] = {}
     for vertex in graph.levels[double_rank]:
         for walk in graph.paths(double_rank, vertex):
-            values = []
-            for r in range(2, double_rank + 1):
-                value = _step_value(walk[r - 1], walk[r], n)
-                if r == 2:
-                    value += offset_one
-                values.append(value)
-            key = tuple(values)
+            key = tuple(
+                _step_value(walk[r - 1], walk[r], n) - (1 if r == 2 else 0)
+                for r in range(2, double_rank + 1)
+            )
             predicted[key] = predicted.get(key, 0) + syt_dimension(vertex)
 
-    ranks = [Fraction(r, 2) for r in range(2, double_rank + 1)]
-    stack = [mats[r] for r in ranks]
-    total = 0
-    all_match = True
+    stack = [phi(specialize(elem, n), n) for _, elem in family[1:]]
+    tuples = []
     for key in sorted(predicted):
         dim = _joint_nullity(stack, key)
-        total += dim
-        match = dim == predicted[key]
-        all_match = all_match and match
-        report["tuples"].append(
+        tuples.append(
             {
                 "values": list(key),
                 "predicted": predicted[key],
                 "measured": dim,
-                "ok": match,
+                "ok": dim == predicted[key],
             }
         )
-    report["ok"] = all_match and total == side
-    return report
+    ok = all(t["ok"] for t in tuples) and sum(t["measured"] for t in tuples) == side
+    return {"n": n, "side": side, "tuples": tuples, "ok": ok}
 
 
 def verify_murphy(double_rank: int, n_witnesses: Sequence[int]) -> dict:
@@ -424,11 +352,14 @@ def verify_murphy(double_rank: int, n_witnesses: Sequence[int]) -> dict:
     of the central element at every rank up to the given one
     (exhaustive through rank 2, generators beyond), the tensor-action
     identity against transposition sums for each witness, and the
-    joint spectra of the family on labelings against box-content
-    predictions with measured boundary offsets.  Raises LimitExceeded,
-    before any work, when a witness's tensor side at this rank or the
-    sum of the witnesses is over its cap, so every witness is checked
-    in full.
+    joint spectra of the family on labelings against the box-content
+    predictions of ``_spectra_report``.  The family and each central
+    element are built once per call.  Raises LimitExceeded, before any
+    work, when a witness's tensor side at this rank or the sum of the
+    witnesses is over its cap, so every witness is checked in full.
+
+    >>> verify_murphy(4, [3])["ok"]
+    True
     """
     if check("verify_murphy", double_rank) < 2:
         raise BadParams("need double rank at least 2")
@@ -447,9 +378,9 @@ def verify_murphy(double_rank: int, n_witnesses: Sequence[int]) -> dict:
         if multiply(ma, mb) != multiply(mb, ma):
             commuting["failures"].append(f"[M_{ra}, M_{rb}]")
 
+    centrals = {r: Z(r) for r in range(2, double_rank + 1)}
     centrality = {"checked": 0, "failures": []}
-    for r in range(2, double_rank + 1):
-        z = Z(r)
+    for r, z in centrals.items():
         others = (
             list(enumerate_diagrams(r)) if r <= 4 else _generator_diagrams(r)
         )
@@ -460,22 +391,17 @@ def verify_murphy(double_rank: int, n_witnesses: Sequence[int]) -> dict:
                 centrality["failures"].append(f"[Z at {Fraction(r, 2)}, {d.blocks}]")
 
     tensor_identity = []
-    spectra = []
     for n in n_witnesses:
-        for r in range(2, double_rank + 1):
-            slots = r // 2
-            mat = phi(specialize(Z(r), n), n)
-            if r % 2 == 0:
-                shift = slots * n - n * (n - 1) // 2
-                expected = kappa_tensor_matrix(n, slots)
-            else:
-                shift = (slots + 1) * n - 1 - n * (n - 1) // 2
-                expected = kappa_tensor_matrix(n, slots, fixed_last=True)
+        for r, z in centrals.items():
+            slots, half = divmod(r, 2)
+            mat = phi(specialize(z, n), n)
+            shift = (slots + half) * n - half - n * (n - 1) // 2
+            expected = kappa_tensor_matrix(n, slots, fixed_last=bool(half))
             expected = expected + EndoMatrix.identity(n, slots).scale(shift)
             tensor_identity.append(
                 {"n": n, "double_rank": r, "ok": mat == expected}
             )
-        spectra.append(_spectra_report(double_rank, n))
+    spectra = [_spectra_report(family, double_rank, n) for n in n_witnesses]
 
     ok = (
         not commuting["failures"]

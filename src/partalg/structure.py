@@ -45,6 +45,7 @@ from .algebra import (
 )
 from .combinatorics import (
     BratteliGraph,
+    _validate,
     boxes_added,
     boxes_removed,
     build_bratteli,
@@ -129,7 +130,7 @@ def char_poly(mu, half: bool = False) -> CharacterPolynomial:
     leading factor x and shift each root up by one, degree |mu| + 1.
     The empty vertex gives the constants 1 and x.
     """
-    parts = tuple(int(v) for v in mu)
+    parts = _validate(mu)
     hooks, _ = hooks_and_contents(parts)
     m = sum(parts)
     shift = 1 if half else 0
@@ -322,8 +323,8 @@ def eps_ratio(double_level: int, mu, lam, n=None) -> Scalar:
     t = int(double_level)
     if t < 1:
         raise BadParams("ratios start at double level 1")
-    mu = tuple(int(v) for v in mu)
-    lam = tuple(int(v) for v in lam)
+    mu = _validate(mu)
+    lam = _validate(lam)
     if sum(mu) > (t - 1) // 2:
         raise VertexNotFound(f"{mu} not at level {t - 1}/2")
     if sum(lam) > t // 2:
@@ -627,8 +628,7 @@ def specht(double_rank: int, lam, witness_n: int | None = None) -> dict:
         raise NonIntegerRank("cell modules are built at integer ranks")
     ell = double_rank // 2
     try:
-        parts = tuple(int(v) for v in lam)
-        hooks_and_contents(parts)
+        parts = _validate(lam)
     except PartalgError as exc:
         raise BadShape(str(exc)) from None
     m = sum(parts)

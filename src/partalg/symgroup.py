@@ -13,8 +13,9 @@ from functools import lru_cache
 from itertools import permutations, product
 
 from .algebra import AlgebraElement, Mode, diagram_element, multiply, one, zero
+from .combinatorics import _validate, partitions_of
 from .diagrams import permutation_diagram
-from .errors import DegenerateEigenvalues, SizeMismatch
+from .errors import BadParams, DegenerateEigenvalues, SizeMismatch
 from .limits import check
 
 __all__ = [
@@ -62,20 +63,7 @@ class Permutation:
         return Permutation(out)
 
     def sign(self) -> int:
-        seen = [False] * self.size
-        sign = 1
-        for start in range(1, self.size + 1):
-            if seen[start - 1]:
-                continue
-            length = 0
-            v = start
-            while not seen[v - 1]:
-                seen[v - 1] = True
-                v = self.images[v - 1]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        return -1 if sum(len(c) - 1 for c in self.cycles()) % 2 else 1
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its minimum."""
@@ -179,19 +167,20 @@ def column_reading_tableau(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...
     return tuple(tuple(r) for r in rows)
 
 
-def _segments(shape: tuple[int, ...]) -> list[range]:
-    out, start = [], 1
-    for length in shape:
-        out.append(range(start, start + length))
-        start += length
-    return out
+def _tableau_map(src, dst, size: int) -> Permutation:
+    """The permutation carrying tableau src entrywise to dst."""
+    images = [0] * size
+    for s_row, d_row in zip(src, dst):
+        for s, d in zip(s_row, d_row):
+            images[s - 1] = d
+    return Permutation(images)
 
 
 def _subgroup_sum(shape: tuple[int, ...], size: int, signed: bool, mode: Mode) -> AlgebraElement:
     """Sum over the parabolic subgroup permuting consecutive segments,
     with signs when requested."""
     total = zero(2 * size, mode)
-    segments = _segments(shape)
+    segments = row_reading_tableau(shape)
     for choice in product(*(permutations(seg) for seg in segments)):
         images = list(range(1, size + 1))
         for seg, perm in zip(segments, choice):
@@ -210,11 +199,12 @@ def _conjugate(shape: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _checked_shape(shape, size: int) -> tuple[int, ...]:
-    shape = tuple(int(v) for v in shape)
+    try:
+        shape = _validate(shape)
+    except BadParams as exc:
+        raise SizeMismatch(str(exc)) from None
     if sum(shape) != size:
         raise SizeMismatch("shape size differs from the group rank")
-    if any(a < b for a, b in zip(shape, shape[1:])) or any(v <= 0 for v in shape):
-        raise SizeMismatch("not a partition")
     return shape
 
 
@@ -222,11 +212,7 @@ def reading_word_permutation(shape, size: int) -> Permutation:
     """The permutation carrying the row reading tableau entrywise to
     the column reading tableau."""
     shape = _checked_shape(shape, size)
-    images = [0] * size
-    for r_row, c_row in zip(row_reading_tableau(shape), column_reading_tableau(shape)):
-        for r, c in zip(r_row, c_row):
-            images[r - 1] = c
-    return Permutation(images)
+    return _tableau_map(row_reading_tableau(shape), column_reading_tableau(shape), size)
 
 
 def young_elements(shape, size: int, mode: Mode = None):
@@ -300,8 +286,6 @@ def sym_matrix_units(size: int, mode: Mode = None) -> MatrixUnitSystem:
     shape, with the left factor rescaled to make the products exact.
     """
     check("sym_matrix_units", 2 * size if type(size) is int else size)
-    from .combinatorics import partitions_of
-
     shapes = [tuple(p) for p in partitions_of(size)]
     tableaux = {shape: standard_tableaux_of(shape) for shape in shapes}
     all_tabs = [t for shape in shapes for t in tableaux[shape]]
@@ -326,13 +310,6 @@ def sym_matrix_units(size: int, mode: Mode = None) -> MatrixUnitSystem:
                 out = multiply(out, shifted).scale(Fraction(1, target[i] - c))
         return out
 
-    def tableau_map(src, dst) -> Permutation:
-        images = [0] * size
-        for s_row, d_row in zip(src, dst):
-            for s, d in zip(s_row, d_row):
-                images[s - 1] = d
-        return Permutation(images)
-
     units: dict = {}
     group = [Permutation(p) for p in permutations(range(1, size + 1))]
     for shape in shapes:
@@ -344,7 +321,7 @@ def sym_matrix_units(size: int, mode: Mode = None) -> MatrixUnitSystem:
         from_base: dict = {}
         for t in tabs[1:]:
             units[(shape, t, t)] = diag[t]
-            candidates = [tableau_map(t, base)] + group
+            candidates = [_tableau_map(t, base, size)] + group
             for sigma in candidates:
                 u = multiply(multiply(diag[base], sigma.to_element(mode)), diag[t])
                 if u.is_zero():

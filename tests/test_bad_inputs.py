@@ -9,7 +9,7 @@ import pytest
 from partalg import diagrams, murphy, structure, symgroup, tensor
 from partalg.algebra import one
 from partalg.diagrams import Diagram, enumerate_diagrams
-from partalg.errors import BadParams, PartalgError
+from partalg.errors import BadParams, BadShape, PartalgError
 from partalg.scalars import parse_rational
 
 P1 = Diagram(2, [[1], [-1]])
@@ -50,6 +50,12 @@ OUT_OF_DOMAIN = {
         2, 3, seed=[1]
     ),  # leaked TypeError from random.Random
     "kappa_tensor_matrix(0, 2)": lambda: murphy.kappa_tensor_matrix(0, 2),  # n = 0 matrix
+    # leaked TypeError; p_tilde_s took the parity before any check
+    "b_s(None, [1])": lambda: murphy.b_s(None, [1]),
+    "b_s(2.5, [1])": lambda: murphy.b_s(2.5, [1]),
+    "d_i(None, [1], [1])": lambda: murphy.d_i(None, [1], [1]),
+    "p_s(None, [1])": lambda: murphy.p_s(None, [1]),
+    "p_tilde_s(None, [1])": lambda: murphy.p_tilde_s(None, [1]),
     # lower bounds are domain checks, not caps
     "basic_construction_iso(1, 3)": lambda: structure.basic_construction_iso(1, 3),
     "radical_basis(1, 3)": lambda: structure.radical_basis(1, 3),
@@ -60,6 +66,24 @@ OUT_OF_DOMAIN = {
 @pytest.mark.parametrize("call", OUT_OF_DOMAIN.values(), ids=OUT_OF_DOMAIN.keys())
 def test_ranks_out_of_the_domain(call):
     with pytest.raises(BadParams):
+        call()
+
+
+UNREADABLE_PARTITIONS = {
+    # each leaked ValueError or TypeError from its own parse of the parts
+    'char_poly("ab")': (lambda: structure.char_poly("ab"), BadParams),
+    "char_poly(None)": (lambda: structure.char_poly(None), BadParams),
+    'eps_ratio(2, "ab", ())': (lambda: structure.eps_ratio(2, "ab", ()), BadParams),
+    'specht(4, "ab")': (lambda: structure.specht(4, "ab"), BadShape),
+    "specht(4, None)": (lambda: structure.specht(4, None), BadShape),
+}
+
+
+@pytest.mark.parametrize(
+    "call, error", UNREADABLE_PARTITIONS.values(), ids=UNREADABLE_PARTITIONS.keys()
+)
+def test_partitions_that_cannot_be_read(call, error):
+    with pytest.raises(error):
         call()
 
 
@@ -116,6 +140,12 @@ ENTRIES = [
         ),
     ),
     _entry("symmetrize", structure.symmetrize, (one(2, Fraction(3)), 2, 3), (1, 2)),
+    # the double ranks of these four are pinned above: a huge one is a
+    # diagram with that many columns, and no cap applies to it
+    _entry("b_s", murphy.b_s, (4, [1, 2]), (1,)),
+    _entry("d_i", murphy.d_i, (4, [1, 2], [1]), (1, 2)),
+    _entry("p_s", murphy.p_s, (4, [1, 2]), (1,)),
+    _entry("p_tilde_s", murphy.p_tilde_s, (3, [1, 2]), (1,)),
     _entry("Z", murphy.Z, (2,), (0,)),
     _entry("M", murphy.M, (2,), (0,)),
     _entry("murphy_family", murphy.murphy_family, (2,), (0,)),

@@ -281,8 +281,8 @@ def test_verify_report_small_witnesses():
     assert report["centrality"]["checked"] == 2 + 5 + 15
     assert all(item["ok"] for item in report["tensor_identity"])
     for spec in report["spectra"]:
-        assert spec["offset_half"] == 1
-        assert spec["offset_one"] == -1
+        n = spec["n"]
+        assert all(item["values"][0] in (n - 1, -1) for item in spec["tuples"])
         assert spec["ok"]
 
 
@@ -318,6 +318,30 @@ def test_verify_report_spectra_at_generic_witness():
         (-1, 1, 1): 14,
         (-1, 1, -1): 15,
     }
+
+
+def test_verify_catches_a_shifted_first_member(monkeypatch):
+    # an offset fitted to M(1)'s own spectrum would absorb this shift
+    unshifted = murphy.M
+
+    def shifted(double_rank):
+        m = unshifted(double_rank)
+        return m + one(double_rank) if double_rank == 2 else m
+
+    monkeypatch.setattr(murphy, "M", shifted)
+    assert not verify_murphy(4, [3])["ok"]
+
+
+def test_spectra_sweep_over_ranks_and_witnesses():
+    for double_rank in range(2, 7):
+        family = murphy_family(double_rank)
+        n = 1
+        while n ** (double_rank // 2) <= 81:
+            spec = murphy._spectra_report(family, double_rank, n)
+            assert spec["ok"], (double_rank, n)
+            assert spec["side"] == n ** (double_rank // 2)
+            assert sum(item["measured"] for item in spec["tuples"]) == spec["side"]
+            n += 1
 
 
 def test_verify_report_top_rank_symbolic():
