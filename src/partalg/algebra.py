@@ -16,10 +16,12 @@ counting the components removed from the middle row.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import product
+from math import factorial, lcm
 
 from .diagrams import (
     Diagram,
+    _rg_strings,
     closure_components,
     columns,
     compose,
@@ -86,7 +88,12 @@ def _norm_coeff(value, mode: Mode):
 
 
 class AlgebraElement:
-    """Linear combination of same-rank diagrams.  Treat as immutable."""
+    """Linear combination of same-rank diagrams.  Treat as immutable.
+
+    ``terms`` is a dict or an iterable of (diagram, coefficient) pairs;
+    the coefficients of a repeated diagram are summed, and a diagram
+    whose sum is zero is dropped.
+    """
 
     __slots__ = ("double_rank", "mode", "terms")
 
@@ -329,38 +336,33 @@ def embed(a: AlgebraElement, target_double_rank: int) -> AlgebraElement:
     return result
 
 
+def _set_partitions(items) -> list[list[list]]:
+    """Every set partition of the items, as lists of parts, in the
+    order of their restricted-growth strings."""
+    out = []
+    for string in _rg_strings(len(items)):
+        parts: list[list] = [[] for _ in range(max(string, default=-1) + 1)]
+        for label, item in zip(string, items):
+            parts[label].append(item)
+        out.append(parts)
+    return out
+
+
 def refinements(d: Diagram) -> list[Diagram]:
     """All diagrams below d in the coarsening order (blocks split)."""
-
-    def splits(block: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
-        items = list(block)
-        if not items:
-            return [[]]
-        first, rest = items[0], items[1:]
-        out = []
-        for part in splits(tuple(rest)):
-            for i in range(len(part)):
-                out.append(part[:i] + [part[i] + (first,)] + part[i + 1 :])
-            out.append(part + [(first,)])
-        return out
-
-    results = [[]]
-    for block in d.blocks:
-        results = [acc + split for acc in results for split in splits(block)]
-    return [Diagram(d.double_rank, blocks) for blocks in results]
+    splits = [_set_partitions(block) for block in d.blocks]
+    return [
+        Diagram(d.double_rank, [part for split in choice for part in split])
+        for choice in product(*splits)
+    ]
 
 
 def coarsenings(d: Diagram) -> list[Diagram]:
     """All diagrams above d in the coarsening order (blocks merged)."""
-    groupings: list[list[tuple[int, ...]]] = [[]]
-    for block in d.blocks:
-        nxt = []
-        for acc in groupings:
-            for i in range(len(acc)):
-                nxt.append(acc[:i] + [acc[i] + block] + acc[i + 1 :])
-            nxt.append(acc + [block])
-        groupings = nxt
-    return [Diagram(d.double_rank, blocks) for blocks in groupings]
+    return [
+        Diagram(d.double_rank, [[v for b in group for v in b] for group in groups])
+        for groups in _set_partitions(d.blocks)
+    ]
 
 
 def mobius_coefficient(finer: Diagram, coarser: Diagram) -> int:
@@ -374,11 +376,7 @@ def mobius_coefficient(finer: Diagram, coarser: Diagram) -> int:
         counts[tops.pop()] += 1
     out = 1
     for m in counts:
-        sign = -1 if (m - 1) % 2 else 1
-        fact = 1
-        for j in range(1, m):
-            fact *= j
-        out *= sign * fact
+        out *= (-1) ** (m - 1) * factorial(m - 1)
     return out
 
 
@@ -386,23 +384,17 @@ def to_orbit_basis(a: AlgebraElement) -> dict[Diagram, Scalar]:
     """Coefficients of a on the orbit basis: each diagram is the sum of
     the orbit elements of all its coarsenings, so that the orbit element
     of d captures labelings whose equality pattern is exactly d."""
-    out: dict[Diagram, Scalar] = {}
-    for d, c in a.terms.items():
-        for coarser in coarsenings(d):
-            out[coarser] = out.get(coarser, 0) + c
-    return {d: c for d, c in out.items() if not scalar_is_zero(_norm_coeff(c, a.mode))}
+    pairs = ((coarser, c) for d, c in a.terms.items() for coarser in coarsenings(d))
+    return AlgebraElement(a.double_rank, pairs, a.mode).terms
 
 
 def from_orbit_basis(
     coeffs, double_rank: int, mode: Mode = None
 ) -> AlgebraElement:
     """Element with the given orbit-basis coefficients."""
-    terms: dict[Diagram, Scalar] = {}
     items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-    for d, c in items:
-        for coarser in coarsenings(d):
-            terms[coarser] = terms.get(coarser, 0) + c * mobius_coefficient(d, coarser)
-    return AlgebraElement(double_rank, terms, mode)
+    pairs = ((e, c * mobius_coefficient(d, e)) for d, c in items for e in coarsenings(d))
+    return AlgebraElement(double_rank, pairs, mode)
 
 
 def orbit_element(d: Diagram, mode: Mode = None) -> AlgebraElement:
@@ -418,18 +410,13 @@ def eps_down(a: AlgebraElement) -> AlgebraElement:
     if a.double_rank == 0:
         raise InvalidTarget("rank 0 has no lower level")
     k2 = columns(a.double_rank)
-    out: dict[Diagram, Scalar] = {}
+    pairs = []
     for d, c in a.terms.items():
-        top = d.block_of(k2)
-        bot = d.block_of(-k2)
-        if top is bot:
-            blocks = d.blocks
-        else:
-            blocks = tuple(b for b in d.blocks if b is not top and b is not bot)
-            blocks += (top + bot,)
-        nd = Diagram(a.double_rank - 1, blocks)
-        out[nd] = out.get(nd, 0) + c
-    return AlgebraElement(a.double_rank - 1, out, a.mode)
+        top, bot = d.block_of(k2), d.block_of(-k2)
+        merged = top if top is bot else top + bot
+        rest = [b for b in d.blocks if b is not top and b is not bot]
+        pairs.append((Diagram(a.double_rank - 1, rest + [merged]), c))
+    return AlgebraElement(a.double_rank - 1, pairs, a.mode)
 
 
 def eps_up(a: AlgebraElement) -> AlgebraElement:
@@ -439,7 +426,8 @@ def eps_up(a: AlgebraElement) -> AlgebraElement:
     if a.double_rank % 2 == 0:
         raise NonHalfIntegerRank("deleting the last column needs a half-integer rank")
     k2 = columns(a.double_rank)
-    out: dict[Diagram, Scalar] = {}
+    x = _param_power(a.mode, 1)
+    pairs = []
     for d, c in a.terms.items():
         blocks = []
         destroyed = True
@@ -449,10 +437,8 @@ def eps_up(a: AlgebraElement) -> AlgebraElement:
                 blocks.append(kept)
             if len(kept) != len(b) and kept:
                 destroyed = False
-        nd = Diagram(a.double_rank - 1, blocks)
-        contrib = c * _param_power(a.mode, 1) if destroyed else c
-        out[nd] = out.get(nd, 0) + contrib
-    return AlgebraElement(a.double_rank - 1, out, a.mode)
+        pairs.append((Diagram(a.double_rank - 1, blocks), c * x if destroyed else c))
+    return AlgebraElement(a.double_rank - 1, pairs, a.mode)
 
 
 def eps_one(a: AlgebraElement) -> AlgebraElement:
@@ -475,10 +461,7 @@ def specialize(a: AlgebraElement, n) -> AlgebraElement:
     if a.mode is not None:
         raise ModeMismatch("element is already specialized")
     point = parse_parameter(n)
-    terms = {}
-    for d, c in a.terms.items():
-        terms[d] = c(point) if isinstance(c, (Poly, RatFunc)) else Fraction(c)
-    return AlgebraElement(a.double_rank, terms, point)
+    return AlgebraElement(a.double_rank, {d: c(point) for d, c in a.terms.items()}, point)
 
 
 def ideal_basis(double_rank: int) -> list[Diagram]:

@@ -11,6 +11,7 @@ module dimensions, so both graphs memoize their walks.
 from __future__ import annotations
 
 from math import comb, factorial
+from operator import index
 
 from .errors import BadParams, VertexNotFound
 
@@ -58,8 +59,8 @@ def counting(kind: str, m: int) -> int:
 
 def _validate(lam) -> Partition:
     try:
-        parts = tuple(int(p) for p in lam)
-    except (TypeError, ValueError):
+        parts = tuple(index(p) for p in lam)
+    except TypeError:
         raise BadParams(f"{lam!r} is not a partition") from None
     if any(p <= 0 for p in parts) or any(
         parts[i] < parts[i + 1] for i in range(len(parts) - 1)

@@ -390,10 +390,9 @@ def enumerate_diagrams(double_rank: int) -> Iterator[Diagram]:
     return _enumerate(double_rank)
 
 
-def _enumerate(double_rank: int) -> Iterator[Diagram]:
-    k2 = columns(double_rank)
-    n = 2 * k2
-    half = double_rank % 2 == 1
+def _rg_strings(n: int) -> Iterator[tuple[int, ...]]:
+    """Restricted-growth strings of length n in lexicographic order, one
+    for each set partition of n items."""
 
     def rg(prefix: tuple[int, ...], top: int) -> Iterator[tuple[int, ...]]:
         if len(prefix) == n:
@@ -402,7 +401,14 @@ def _enumerate(double_rank: int) -> Iterator[Diagram]:
         for label in range(top + 2):
             yield from rg(prefix + (label,), max(top, label))
 
-    for string in rg((), -1):
+    return rg((), -1)
+
+
+def _enumerate(double_rank: int) -> Iterator[Diagram]:
+    k2 = columns(double_rank)
+    n = 2 * k2
+    half = double_rank % 2 == 1
+    for string in _rg_strings(n):
         if half and string[k2 - 1] != string[n - 1]:
             continue
         yield _diagram(double_rank, string)

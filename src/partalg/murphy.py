@@ -17,6 +17,7 @@ content value of the first step, that of p_1, is lowered by 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
@@ -38,6 +39,7 @@ from .diagrams import (
     columns,
     enumerate_diagrams,
     generator,
+    identity_diagram,
 )
 from .errors import BadParams, BadSubset
 from .limits import _nonnegative, check
@@ -116,18 +118,15 @@ def _split_sign(s: tuple[int, ...], inside: frozenset[int]) -> int:
 
 
 def _half_sum(double_rank: int, s: tuple[int, ...], admissible) -> AlgebraElement:
-    acc: dict[Diagram, Fraction] = {}
     vertices = [v for m in s for v in (m, -m)]
     full = frozenset(vertices)
+    pairs = []
     for r in range(1, len(vertices)):
-        for picked in combinations(vertices, r):
-            inside = frozenset(picked)
-            if not admissible(inside, full - inside):
-                continue
-            d = d_i(double_rank, s, inside)
-            c = Fraction(_split_sign(s, inside), 2)
-            acc[d] = acc.get(d, Fraction(0)) + c
-    return element(double_rank, acc)
+        for inside in map(frozenset, combinations(vertices, r)):
+            if admissible(inside, full - inside):
+                sign = _split_sign(s, inside)
+                pairs.append((d_i(double_rank, s, inside), Fraction(sign, 2)))
+    return element(double_rank, pairs)
 
 
 def p_s(double_rank: int, subset) -> AlgebraElement:
@@ -187,11 +186,7 @@ def _pinned_difference_sum(double_rank: int) -> AlgebraElement:
     k = double_rank // 2
     cols = k + 1
     free = Poly.x() - Poly.const(1)
-    acc: dict[Diagram, Poly] = {}
-
-    def bump(d: Diagram, c: Poly) -> None:
-        acc[d] = acc.get(d, Poly.const(Fraction(0))) + c
-
+    pairs = []
     for assign in product(range(5), repeat=k):
         moving: list[int] = []
         pinned: list[int] = [cols, -cols]
@@ -213,12 +208,11 @@ def _pinned_difference_sum(double_rank: int) -> AlgebraElement:
                 moving.append(-slot)
                 pinned.append(slot)
         if not moving:
-            bump(Diagram(double_rank, [pinned] + strands), free * sign)
+            pairs.append((Diagram(double_rank, [pinned] + strands), free * sign))
             continue
-        unit = Poly.const(Fraction(sign))
-        bump(Diagram(double_rank, [moving, pinned] + strands), unit)
-        bump(Diagram(double_rank, [moving + pinned] + strands), -unit)
-    return element(double_rank, {d: c for d, c in acc.items() if c})
+        pairs.append((Diagram(double_rank, [moving, pinned] + strands), sign))
+        pairs.append((Diagram(double_rank, [moving + pinned] + strands), -sign))
+    return element(double_rank, pairs)
 
 
 def Z(double_rank: int) -> AlgebraElement:
@@ -234,20 +228,18 @@ def Z(double_rank: int) -> AlgebraElement:
     if double_rank <= 1:
         return one(double_rank)
     x = Poly.x()
+    k = double_rank // 2
     if double_rank % 2 == 0:
-        k = double_rank // 2
-        total = one(double_rank).scale(Poly.const(Fraction(k * (k - 1), 2)))
+        pairs = [(identity_diagram(double_rank), Fraction(k * (k - 1), 2))]
         for m in range(1, k + 1):
             for s in combinations(range(1, k + 1), m):
-                total = total + p_s(double_rank, s)
+                pairs += p_s(double_rank, s).terms.items()
                 if m >= 2:
                     coeff = (x - Poly.const(k - m)) * Fraction(-1 if m % 2 else 1)
-                    total = total + diagram_element(b_s(double_rank, s)).scale(coeff)
-        return total
-    k = double_rank // 2
-    total = one(double_rank).scale(Poly.const(k) + x - Poly.const(k + 1))
-    total = total + embed(Z(2 * k), double_rank)
-    return total - _pinned_difference_sum(double_rank)
+                    pairs.append((b_s(double_rank, s), coeff))
+        return element(double_rank, pairs)
+    shift = one(double_rank).scale(Poly.const(k) + x - Poly.const(k + 1))
+    return shift + embed(Z(2 * k), double_rank) - _pinned_difference_sum(double_rank)
 
 
 def M(double_rank: int) -> AlgebraElement:
@@ -320,14 +312,14 @@ def _spectra_report(family, double_rank: int, n: int) -> dict:
     """
     side = n ** (double_rank // 2)
     graph = build_bratteli("concrete", double_rank, n)
-    predicted: dict[tuple[int, ...], int] = {}
+    predicted: Counter[tuple[int, ...]] = Counter()
     for vertex in graph.levels[double_rank]:
         for walk in graph.paths(double_rank, vertex):
             key = tuple(
                 _step_value(walk[r - 1], walk[r], n) - (1 if r == 2 else 0)
                 for r in range(2, double_rank + 1)
             )
-            predicted[key] = predicted.get(key, 0) + syt_dimension(vertex)
+            predicted[key] += syt_dimension(vertex)
 
     stack = [phi(specialize(elem, n), n) for _, elem in family[1:]]
     tuples = []

@@ -39,9 +39,7 @@ from .algebra import (
     generator_element,
     ideal_basis,
     multiply,
-    one,
     specialize,
-    zero,
 )
 from .combinatorics import (
     BratteliGraph,
@@ -73,7 +71,7 @@ from .errors import (
     PartalgError,
     VertexNotFound,
 )
-from .limits import check
+from .limits import _nonnegative, check
 from .linalg import bareiss_det, invert, rank as matrix_rank, rref, singular
 from .scalars import Poly, RatFunc, Scalar, parse_parameter
 from .symgroup import MatrixUnitSystem, sym_matrix_units, young_elements
@@ -320,7 +318,7 @@ def eps_ratio(double_level: int, mu, lam, n=None) -> Scalar:
     reduced rational function, collapsed to a polynomial when the
     denominator divides out.
     """
-    t = int(double_level)
+    t = _nonnegative("double level", double_level)
     if t < 1:
         raise BadParams("ratios start at double level 1")
     mu = _validate(mu)
@@ -363,40 +361,44 @@ def _tableau_walk(tableau, double_rank: int) -> tuple:
     return tuple(walk)
 
 
+def _sandwich_factors(t: int, n, prev: MatrixUnitSystem):
+    """The factors of the sandwich elements at level t, from the units
+    prev at level t - 1.  For each vertex mu at level t - 2, yields mu,
+    its walks to level t and two dicts keyed by walk: left[p] is the
+    embedded unit of prev from p to the first walk through mu, times
+    the collapse generator p_t; right[q] is the embedded unit back to
+    q.  The sandwich element of p and q is left[p] * right[q]."""
+    graph = _graph(t)
+    p_elem = generator_element("p", _p_index(t), t, n)
+    for mu in graph.levels[t - 2]:
+        walk_t = min(graph.paths(t - 2, mu))
+        paths = graph.paths(t, mu)
+        left = {
+            p: multiply(embed(prev.unit(p[-2], p[:-1], walk_t + (p[-2],)), t), p_elem)
+            for p in paths
+        }
+        right = {q: embed(prev.unit(q[-2], walk_t + (q[-2],), q[:-1]), t) for q in paths}
+        yield mu, paths, left, right
+
+
 @lru_cache(maxsize=None)
 def _build_units(t: int, n: Fraction) -> MatrixUnitSystem:
-    graph = _graph(t)
+    units: dict = {}
     if t >= 2:
-        for vertex in graph.levels[t - 1]:
+        for vertex in _graph(t).levels[t - 1]:
             if _weight(t - 1, vertex)(n) == 0:
                 raise NotSemisimple(
                     f"weight of {vertex} at level {t - 1}/2 vanishes at n = {n}"
                 )
-        prev = _build_units(t - 1, n)
-    units: dict = {}
-    if t >= 2:
-        p_elem = generator_element("p", _p_index(t), t, n)
-        for mu in graph.levels[t - 2]:
+        for mu, paths, left, right in _sandwich_factors(t, n, _build_units(t - 1, n)):
             den = _weight(t - 2, mu)(n)
-            walk_t = min(graph.paths(t - 2, mu))
-            paths = graph.paths(t, mu)
-            lifted = {}
-            for p in paths:
-                tau = p[-2]
-                left = embed(prev.unit(tau, p[:-1], walk_t + (tau,)), t)
-                lifted[p] = multiply(left, p_elem)
             for q in paths:
-                gamma = q[-2]
-                right = embed(prev.unit(gamma, walk_t + (gamma,), q[:-1]), t)
-                ratio = _weight(t - 1, gamma)(n) / den
+                ratio = _weight(t - 1, q[-2])(n) / den
                 for p in paths:
-                    units[(mu, p, q)] = multiply(lifted[p], right).scale(
-                        1 / ratio
-                    )
-    complement = one(t, n)
-    for key, u in units.items():
-        if key[1] == key[2]:
-            complement = complement - u
+                    units[(mu, p, q)] = multiply(left[p], right[q]).scale(1 / ratio)
+    diagonal = (u for (_, p, q), u in units.items() if p == q)
+    pairs = [(d, -c) for u in diagonal for d, c in u.terms.items()]
+    complement = AlgebraElement(t, [(identity_diagram(t), 1)] + pairs, n)
     sym = sym_matrix_units(t // 2, n)
     for (shape, ptab, qtab), u in sym.units.items():
         key = (shape, _tableau_walk(ptab, t), _tableau_walk(qtab, t))
@@ -589,23 +591,12 @@ def radical_basis(double_rank: int, n) -> list[AlgebraElement]:
                 raise OutOfScopeDepth(
                     f"weight of {vertex} already vanishes at level {s}/2"
                 )
-    prev = _build_units(t - 1, point)
-    p_elem = generator_element("p", _p_index(t), t, point)
     out: list[AlgebraElement] = []
-    for mu in graph.levels[t - 2]:
-        walk_t = min(graph.paths(t - 2, mu))
-        paths = graph.paths(t, mu)
+    for _, paths, left, right in _sandwich_factors(t, point, _build_units(t - 1, point)):
         for p in paths:
             for q in paths:
-                tau, gamma = p[-2], q[-2]
-                if (
-                    _weight(t - 1, tau)(point) != 0
-                    and _weight(t - 1, gamma)(point) != 0
-                ):
-                    continue
-                left = embed(prev.unit(tau, p[:-1], walk_t + (tau,)), t)
-                right = embed(prev.unit(gamma, walk_t + (gamma,), q[:-1]), t)
-                out.append(multiply(multiply(left, p_elem), right))
+                if _weight(t - 1, p[-2])(point) == 0 or _weight(t - 1, q[-2])(point) == 0:
+                    out.append(multiply(left[p], right[q]))
     if not out:
         return out
     position = {d: i for i, d in enumerate(_basis(t))}
@@ -694,10 +685,11 @@ def symmetrize(
         raise DegenerateForm(
             f"regular trace form is degenerate at n = {n}"
         ) from None
-    out = zero(double_rank, point)
+    pairs = []
     for j, b in enumerate(basis):
-        dual = zero(double_rank, point)
-        for i, c in enumerate(basis):
-            dual = dual + c.scale(inverse[i][j])
-        out = out + multiply(multiply(b, a), dual)
-    return out
+        dual = [
+            (d, inverse[i][j] * c) for i, u in enumerate(basis) for d, c in u.terms.items()
+        ]
+        averaged = multiply(multiply(b, a), AlgebraElement(double_rank, dual, point))
+        pairs += averaged.terms.items()
+    return AlgebraElement(double_rank, pairs, point)

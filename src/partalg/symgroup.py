@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, combinations, permutations, product
 
-from .algebra import AlgebraElement, Mode, diagram_element, multiply, one, zero
+from .algebra import AlgebraElement, Mode, diagram_element, multiply, one
 from .combinatorics import _validate, partitions_of
 from .diagrams import permutation_diagram
 from .errors import BadParams, DegenerateEigenvalues, SizeMismatch
@@ -117,11 +117,14 @@ def transposition(a: int, b: int, size: int) -> Permutation:
 
 def kappa(n: int, mode: Mode = None) -> AlgebraElement:
     """Sum of all transpositions of S_n; central in the group algebra."""
-    total = zero(2 * n, mode)
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            total = total + transposition(a, b, n).to_element(mode)
-    return total
+    return _transposition_sum(combinations(range(1, n + 1), 2), n, mode)
+
+
+def _transposition_sum(pairs, size: int, mode: Mode) -> AlgebraElement:
+    """Sum of the transpositions (a b) of S_size over the pairs (a, b)."""
+    perms = (transposition(a, b, size).images for a, b in pairs)
+    terms = ((permutation_diagram(w, 2 * size), 1) for w in perms)
+    return AlgebraElement(2 * size, terms, mode)
 
 
 def standard_tableaux_of(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
@@ -179,17 +182,16 @@ def _tableau_map(src, dst, size: int) -> Permutation:
 def _subgroup_sum(shape: tuple[int, ...], size: int, signed: bool, mode: Mode) -> AlgebraElement:
     """Sum over the parabolic subgroup permuting consecutive segments,
     with signs when requested."""
-    total = zero(2 * size, mode)
     segments = row_reading_tableau(shape)
+    pairs = []
     for choice in product(*(permutations(seg) for seg in segments)):
         images = list(range(1, size + 1))
         for seg, perm in zip(segments, choice):
             for slot, value in zip(seg, perm):
                 images[slot - 1] = value
         w = Permutation(images)
-        coeff = w.sign() if signed else 1
-        total = total + w.to_element(mode).scale(coeff)
-    return total
+        pairs.append((permutation_diagram(w.images, 2 * size), w.sign() if signed else 1))
+    return AlgebraElement(2 * size, pairs, mode)
 
 
 def _conjugate(shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -256,10 +258,8 @@ class MatrixUnitSystem:
         return [key for key in self.index if key[1] == key[2]]
 
     def identity_sum(self) -> AlgebraElement:
-        total = zero(self.double_rank, self.mode)
-        for key in self.diagonal_index():
-            total = total + self.units[key]
-        return total
+        diagonal = (self.units[key].terms.items() for key in self.diagonal_index())
+        return AlgebraElement(self.double_rank, chain.from_iterable(diagonal), self.mode)
 
 
 def _contents(tableau: tuple[tuple[int, ...], ...], size: int) -> tuple[int, ...]:
@@ -268,13 +268,6 @@ def _contents(tableau: tuple[tuple[int, ...], ...], size: int) -> tuple[int, ...
         for j, value in enumerate(row):
             out[value - 1] = j - i
     return tuple(out)
-
-
-def _jm_element(i: int, size: int, mode: Mode) -> AlgebraElement:
-    total = zero(2 * size, mode)
-    for j in range(1, i):
-        total = total + transposition(j, i, size).to_element(mode)
-    return total
 
 
 @lru_cache(maxsize=None)
@@ -296,7 +289,11 @@ def sym_matrix_units(size: int, mode: Mode = None) -> MatrixUnitSystem:
         sorted({content_vectors[t][i] for t in all_tabs}) for i in range(size)
     ]
 
-    jm = [_jm_element(i, size, mode) for i in range(1, size + 1)]
+    # X_i, the sum of (j i) over j < i
+    jm = [
+        _transposition_sum(((j, i) for j in range(1, i)), size, mode)
+        for i in range(1, size + 1)
+    ]
     identity = one(2 * size, mode)
 
     def diagonal_unit(tableau) -> AlgebraElement:

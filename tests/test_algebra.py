@@ -51,7 +51,7 @@ from partalg.errors import (
     RankMismatch,
 )
 from partalg.linalg import invert
-from partalg.scalars import Poly, RatFunc
+from partalg.scalars import Poly, RatFunc, scalar_is_zero
 
 X = Poly.x()
 A1 = list(enumerate_diagrams(2))
@@ -441,3 +441,53 @@ def test_multiply_against_compose_oracle(kind):
                 assert product == _oracle_product(x, y)
                 for value in product.terms.values():
                     _assert_canonical(value)
+
+
+@pytest.mark.parametrize("kind", ["poly", "ratfunc", 0, Fraction(1, 2), 3])
+def test_constructor_sums_repeated_pairs(kind):
+    """The constructor is the accumulator of (diagram, coefficient)
+    pairs: it equals the +-fold of the single-term elements, drops a
+    diagram whose sum cancels, and keeps one that cancels and then
+    reappears."""
+    rng = random.Random(20040114)
+    mode = None if kind in ("poly", "ratfunc") else Fraction(kind)
+
+    def coeff():
+        value = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        if mode is not None:
+            return value
+        poly = Poly((value, rng.randint(-2, 2), 1))
+        if kind == "ratfunc" and rng.random() < 0.5:
+            return RatFunc(poly, Poly((rng.randint(-2, 2), 1)))
+        return poly
+
+    for dr in (4, 5, 6):
+        gone, back, whole, *pool = rng.sample(list(enumerate_diagrams(dr)), 7)
+        c, c_back = coeff(), coeff()
+        while scalar_is_zero(c) or scalar_is_zero(c_back):
+            c, c_back = coeff(), coeff()
+        # two fractions of x summing to 1, or any two parts of 1
+        part = RatFunc(Poly.const(1), X + 1) if kind == "ratfunc" else coeff()
+        noise = [(rng.choice(pool), coeff()) for _ in range(30)]
+        # back sums to zero after its second pair and reappears with its third
+        pairs = (
+            noise[:10]
+            + [(gone, c), (back, c_back), (whole, part)]
+            + noise[10:20]
+            + [(back, -c_back), (gone, -c), (whole, 1 - part)]
+            + noise[20:]
+            + [(back, c)]
+        )
+        built = AlgebraElement(dr, pairs, mode)
+        folded = zero(dr, mode)
+        for d, value in pairs:
+            folded = folded + AlgebraElement(dr, [(d, value)], mode)
+        assert built == folded
+        assert AlgebraElement(dr, iter(pairs), mode) == built
+        assert gone not in built.terms
+        assert built.terms[back] == AlgebraElement(dr, [(back, c)], mode).terms[back]
+        assert built.terms[whole] == (Poly.const(1) if mode is None else 1)
+        assert type(built.terms[whole]) is (Poly if mode is None else Fraction)
+        for value in built.terms.values():
+            assert not scalar_is_zero(value)
+            _assert_canonical(value)

@@ -1,7 +1,8 @@
 """The declared public surface resolves: every name in a module's
-__all__ exists, and every console-script target in pyproject.toml
-imports."""
+__all__ exists, every console-script target in pyproject.toml imports,
+and no module keeps an import it neither uses nor re-exports."""
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -33,3 +34,39 @@ def test_script_targets_import():
     for target in scripts.values():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr))
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names bound by top-level imports of the module that no name in
+    it reads and its __all__ does not list."""
+    tree = ast.parse(path.read_text())
+    imported: set[str] = set()
+    exported: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used - exported)
+
+
+SOURCES = sorted(Path(partalg.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_top_level_import_is_used(path):
+    assert _unused_imports(path) == []
+
+
+def test_unused_import_guard_sees_an_orphan(tmp_path):
+    module = tmp_path / "orphan.py"
+    module.write_text(
+        "import os\nimport sys as system\nfrom math import lcm, pi\n"
+        "from .x import kept\n__all__ = ['kept']\nprint(system.argv, pi)\n"
+    )
+    assert _unused_imports(module) == ["lcm", "os"]

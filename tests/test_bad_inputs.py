@@ -8,6 +8,7 @@ import pytest
 
 from partalg import diagrams, murphy, structure, symgroup, tensor
 from partalg.algebra import one
+from partalg.combinatorics import syt_dimension
 from partalg.diagrams import Diagram, enumerate_diagrams
 from partalg.errors import BadParams, BadShape, PartalgError
 from partalg.scalars import parse_rational
@@ -84,6 +85,21 @@ UNREADABLE_PARTITIONS = {
 )
 def test_partitions_that_cannot_be_read(call, error):
     with pytest.raises(error):
+        call()
+
+
+NOT_INTEGERS = {
+    # each used to be truncated by int() and answered for another input
+    "char_poly((2.5,))": lambda: structure.char_poly((2.5,)),  # .mu was (2,)
+    'char_poly(("3",))': lambda: structure.char_poly(("3",)),  # .mu was (3,)
+    "eps_ratio(2.5, (), ())": lambda: structure.eps_ratio(2.5, (), ()),  # eps_ratio(2, ...)
+    "syt_dimension((1.5,))": lambda: syt_dimension((1.5,)),  # was 1
+}
+
+
+@pytest.mark.parametrize("call", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+def test_non_integers_are_refused_not_truncated(call):
+    with pytest.raises(BadParams):
         call()
 
 
