@@ -44,7 +44,6 @@ from .scalars import (
     parse_parameter,
     rational_str,
     scalar_from_json,
-    scalar_is_zero,
     scalar_to_json,
 )
 
@@ -98,18 +97,25 @@ class AlgebraElement:
     __slots__ = ("double_rank", "mode", "terms")
 
     def __init__(self, double_rank: int, terms, mode: Mode = None):
+        # a coefficient of the mode's own kind is canonical already; a
+        # scalar of every kind is false exactly when it is zero
+        kind = Poly if mode is None else Fraction
         cleaned: dict[Diagram, Scalar] = {}
         for d, c in terms.items() if isinstance(terms, dict) else terms:
             if d.double_rank != double_rank:
                 raise RankMismatch("term rank differs from element rank")
-            c = _norm_coeff(c, mode)
-            if not scalar_is_zero(c):
+            if type(c) is not kind:
+                c = _norm_coeff(c, mode)
+            if c:
                 prev = cleaned.get(d)
-                total = c if prev is None else _norm_coeff(prev + c, mode)
-                if scalar_is_zero(total):
-                    cleaned.pop(d, None)
+                if prev is None:
+                    cleaned[d] = c
                 else:
-                    cleaned[d] = total
+                    total = _norm_coeff(prev + c, mode)
+                    if total:
+                        cleaned[d] = total
+                    else:
+                        del cleaned[d]
         self.double_rank = double_rank
         self.mode = mode
         self.terms = cleaned
@@ -235,25 +241,26 @@ def _param_power(mode: Mode, r: int):
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of d1 d2 = x^r (d1 composed over d2).
 
-    When both factors are generic and hold only Poly coefficients, each
-    term pair adds the convolution of its two coefficient tuples,
-    shifted up by r places for the factor x^r, into one list per output
-    diagram, and each output diagram gets one Poly at the end.
-    Specialized factors are scaled to integers: with D the common
-    denominator of a's coefficients, E that of b's, n = p/q in lowest
-    terms and K the column count (r <= K), each term pair adds the
-    integer (D c1)(E c2) p^r q^(K-r) into one sum per output diagram,
-    and each sum is divided once by D E q^K at the end.  Generic
-    factors holding a RatFunc multiply scalars pair by pair, reading
-    x^r from a table filled once per call and skipping it when r = 0.
+    Both kernels accumulate integers.  Each factor is scaled by the
+    common denominator of all its coefficients, D for a and E for b (1
+    when every coefficient is integral).  Generic factors holding only
+    Poly coefficients: each term pair adds the convolution of its two
+    integer tuples, shifted up by r places for x^r, into one integer
+    list per output diagram.  Specialized factors, with n = p/q in
+    lowest terms and K the column count (r <= K): each term pair adds
+    (D c1)(E c2) p^r q^(K-r) into one integer per output diagram.  Each
+    output coefficient is divided once at the end, by D E or D E q^K.
+    Generic factors holding a RatFunc multiply scalars pair by pair,
+    reading x^r from a table filled once per call and skipping it when
+    r = 0.
     """
     a._check_compatible(b)
     if a.mode is not None:
         return _multiply_specialized(a, b)
-    if not any(
-        isinstance(c, RatFunc) for terms in (a.terms, b.terms) for c in terms.values()
-    ):
-        return _multiply_poly(a, b)
+    left = _integer_polys(a.terms)
+    right = None if left is None else _integer_polys(b.terms)
+    if right is not None:
+        return _multiply_poly(a.double_rank, *left, *right)
     powers: dict[int, Scalar] = {}
     out: dict[Diagram, Scalar] = {}
     for d1, c1 in a.terms.items():
@@ -275,6 +282,25 @@ def _integer_terms(terms: dict[Diagram, Fraction]) -> tuple[list[tuple[Diagram, 
     return [(d, c.numerator * (den // c.denominator)) for d, c in terms.items()], den
 
 
+def _integer_polys(terms: dict[Diagram, Scalar]):
+    """The Poly coefficient tuples of the terms scaled to integers by
+    their common denominator, and that denominator; None when a
+    coefficient is a RatFunc."""
+    den = 1
+    for c in terms.values():
+        if type(c) is RatFunc:
+            return None
+        if c.denominator != 1:
+            den = lcm(den, c.denominator)
+    if den == 1:
+        return [(d, c.coeffs) for d, c in terms.items()], 1
+    scaled = [
+        (d, [u.numerator * (den // u.denominator) for u in c.coeffs])
+        for d, c in terms.items()
+    ]
+    return scaled, den
+
+
 def _multiply_specialized(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     left, da = _integer_terms(a.terms)
     right, db = _integer_terms(b.terms)
@@ -292,24 +318,27 @@ def _multiply_specialized(a: AlgebraElement, b: AlgebraElement) -> AlgebraElemen
     )
 
 
-def _multiply_poly(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    sums: dict[Diagram, list] = {}
-    right = [(d2, c2.coeffs) for d2, c2 in b.terms.items()]
-    for d1, c1 in a.terms.items():
-        left = [(i, u) for i, u in enumerate(c1.coeffs) if u]
+def _multiply_poly(double_rank: int, left, da: int, right, db: int) -> AlgebraElement:
+    sums: dict[Diagram, list[int]] = {}
+    get = sums.get
+    for d1, p in left:
+        nonzero = [(i, u) for i, u in enumerate(p) if u]
+        top = len(p) - 1
         for d2, q in right:
             d, r = compose(d1, d2)
-            acc = sums.get(d)
-            size = r + len(c1.coeffs) + len(q) - 1
+            acc = get(d)
+            size = r + top + len(q)
             if acc is None:
                 acc = sums[d] = [0] * size
             elif len(acc) < size:
                 acc.extend([0] * (size - len(acc)))
-            for i, u in left:
+            for i, u in nonzero:
                 for j, v in enumerate(q, r + i):
                     acc[j] += u * v
+    den = da * db
     return AlgebraElement(
-        a.double_rank, {d: Poly(acc) for d, acc in sums.items()}, a.mode
+        double_rank,
+        {d: Poly(acc if den == 1 else [Fraction(s, den) for s in acc]) for d, acc in sums.items()},
     )
 
 
@@ -349,10 +378,19 @@ def _set_partitions(items) -> list[list[list]]:
 
 
 def refinements(d: Diagram) -> list[Diagram]:
-    """All diagrams below d in the coarsening order (blocks split)."""
-    splits = [_set_partitions(block) for block in d.blocks]
+    """All diagrams below d in the coarsening order (blocks split).
+
+    At a half-integer rank -K goes wherever K goes, so the two stay in
+    one block.
+    """
+    k2 = columns(d.double_rank)
+    twin = -k2 if d.double_rank % 2 else 0
+    splits = [_set_partitions([v for v in block if v != twin]) for block in d.blocks]
     return [
-        Diagram(d.double_rank, [part for split in choice for part in split])
+        Diagram(
+            d.double_rank,
+            [part + [twin] if twin and k2 in part else part for split in choice for part in split],
+        )
         for choice in product(*splits)
     ]
 

@@ -59,11 +59,14 @@ def counting(kind: str, m: int) -> int:
 
 def _validate(lam) -> Partition:
     try:
-        parts = tuple(index(p) for p in lam)
+        raw = tuple(lam)
+        parts = tuple(index(p) for p in raw)
     except TypeError:
         raise BadParams(f"{lam!r} is not a partition") from None
-    if any(p <= 0 for p in parts) or any(
-        parts[i] < parts[i + 1] for i in range(len(parts) - 1)
+    if (
+        any(isinstance(p, bool) for p in raw)
+        or any(p <= 0 for p in parts)
+        or any(parts[i] < parts[i + 1] for i in range(len(parts) - 1))
     ):
         raise BadParams(f"{lam!r} is not a partition")
     return parts

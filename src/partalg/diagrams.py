@@ -314,7 +314,10 @@ def classify(d: Diagram) -> dict[str, bool]:
 
 
 def _gen_index(index) -> Fraction:
-    idx = Fraction(index)
+    try:
+        idx = Fraction(index)
+    except (TypeError, ValueError, OverflowError):
+        raise IndexOutOfRange(f"index {index!r} is not a half-integer") from None
     if idx.denominator not in (1, 2):
         raise IndexOutOfRange(f"index {index} is not a half-integer")
     return idx
@@ -328,9 +331,10 @@ def generator(kind: str, index, double_rank: int) -> Diagram:
     with integer index j: isolates column j; with half-integer index
     i+1/2: merges columns i, i+1 across both rows.  Index ranges are
     exactly those for which the displayed diagram exists and respects
-    the half-integer constraint block.
+    the half-integer constraint block.  partalg.limits caps the double
+    rank.
     """
-    k2 = columns(double_rank)
+    k2 = columns(check("diagram", double_rank))
     half = double_rank % 2 == 1
     idx = _gen_index(index)
     if kind == "s":
@@ -368,7 +372,7 @@ def parse_token(text: str) -> Token:
     kind, _, idx = text.partition("_")
     if kind not in ("s", "e", "p") or not idx:
         raise IndexOutOfRange(f"bad generator token {text!r}")
-    return (kind, Fraction(idx))
+    return (kind, _gen_index(idx))
 
 
 def evaluate_word(word: Sequence[Token], double_rank: int) -> Diagram:

@@ -28,15 +28,22 @@ LIMITS = {
     "radical_basis": 4,  # double rank; radical_basis(4, 2), 0.04 s
     "specht": 4,  # double rank; specht(4, (2,)), 0.01 s
     "symmetrize": 5,  # double rank; symmetrize(one, 5, 7/3), 1.4 s; 6 took 57 s
-    "murphy_family": 8,  # double rank of Z, M and murphy_family; 0.16 s
+    # double rank of Z, M, murphy_family and of the sums p_s and
+    # p_tilde_s; murphy_family(8), 0.16 s
+    "murphy_family": 8,
+    # double rank of one diagram built by generator, b_s or d_i, in
+    # time and memory linear in the rank; generator("s", 1, 100000)
+    # 0.41 s and 35 MB, at 10**6 5.6 s and 332 MB
+    "diagram": 100_000,
     # double rank; verify_murphy(6, [4]), 0.88 s; at 7 the witnesses
     # [4] * 12 + [2] took 17 s
     "verify_murphy": 6,
     # sum of the witnesses' n; verify_murphy(6, [4] * 12 + [2]) 8.0 s,
     # verify_murphy(3, [50]) 5.1 s
     "verify_murphy_witnesses": 50,
-    # double rank 2 * size; sym_matrix_units(4) 0.26 s, (5) 18 s
-    "sym_matrix_units": 8,
+    # double rank 2 * size; sym_matrix_units(5), generic and at n = 3,
+    # -3/61 and 1/127, 0.7-1.3 s; (6) did not finish in 120 s
+    "sym_matrix_units": 10,
     # n**slots of phi, phi_orbit, sym_tensor_matrix, kappa_tensor_matrix
     # and the verify_murphy witnesses; kappa_tensor_matrix(81, 1), 1.4 s
     "tensor_side": 81,

@@ -42,7 +42,7 @@ from .diagrams import (
     identity_diagram,
 )
 from .errors import BadParams, BadSubset
-from .limits import _nonnegative, check
+from .limits import check
 from .linalg import rank as matrix_rank
 from .scalars import Poly
 from .symgroup import transposition
@@ -61,8 +61,11 @@ __all__ = [
 ]
 
 
-def _check_columns(double_rank: int, subset) -> tuple[int, ...]:
-    cols = columns(_nonnegative("double rank", double_rank))
+def _check_columns(entry: str, double_rank: int, subset) -> tuple[int, ...]:
+    """The sorted column set, once the double rank passes the
+    partalg.limits entry: "diagram" for the single diagrams b_s and
+    d_i, "murphy_family" for the sums p_s and p_tilde_s."""
+    cols = columns(check(entry, double_rank))
     try:
         s = tuple(sorted({int(v) for v in subset}))
     except (TypeError, ValueError) as exc:
@@ -76,7 +79,7 @@ def _check_columns(double_rank: int, subset) -> tuple[int, ...]:
 
 def b_s(double_rank: int, subset) -> Diagram:
     """Diagram collapsing the chosen columns into a single block."""
-    s = _check_columns(double_rank, subset)
+    s = _check_columns("diagram", double_rank, subset)
     merged = [v for m in s for v in (m, -m)]
     return Diagram(double_rank, [merged] + _strands(double_rank, set(s)))
 
@@ -89,7 +92,7 @@ def d_i(double_rank: int, subset, chosen) -> Diagram:
     for bottom rows, drawn from the collapsed columns.  Both parts
     must be nonempty.
     """
-    s = _check_columns(double_rank, subset)
+    s = _check_columns("diagram", double_rank, subset)
     full = frozenset(v for m in s for v in (m, -m))
     try:
         inside = frozenset(int(v) for v in chosen)
@@ -135,7 +138,7 @@ def p_s(double_rank: int, subset) -> AlgebraElement:
     coefficients; every diagram ends up with an integer weight because
     a split and its complement give the same diagram.
     """
-    s = _check_columns(double_rank, subset)
+    s = _check_columns("murphy_family", double_rank, subset)
     if double_rank % 2 == 1 and columns(double_rank) in s:
         raise BadSubset("last column of a half rank needs the pinned variant")
     pairs = [frozenset({m, -m}) for m in s]
@@ -152,7 +155,7 @@ def p_tilde_s(double_rank: int, subset) -> AlgebraElement:
     splits that merely drop one of the other columns are left out.  The
     split cutting off the last column pair itself stays in.
     """
-    s = _check_columns(double_rank, subset)
+    s = _check_columns("murphy_family", double_rank, subset)
     if double_rank % 2 == 0:
         raise BadSubset("pinned variant is defined at half ranks only")
     cols = columns(double_rank)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import BadParams, DenominatorVanishes
 from .limits import check
@@ -71,17 +72,22 @@ def rational_str(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _canonical(coeffs) -> tuple[int | Fraction, ...]:
+def _canonical(coeffs) -> tuple[tuple[int | Fraction, ...], int]:
+    """The canonical coefficient tuple, and the least common
+    denominator of its entries."""
     out = []
+    den = 1
     for c in coeffs:
         if type(c) is not int:
             c = Fraction(c)
             if c.denominator == 1:
                 c = c.numerator
+            else:
+                den = lcm(den, c.denominator)
         out.append(c)
     while out and not out[-1]:
         out.pop()
-    return tuple(out)
+    return tuple(out), den
 
 
 @dataclass(frozen=True)
@@ -92,12 +98,18 @@ class Poly:
     ``Fraction`` otherwise, with no trailing zeros, so
     ``Poly((Fraction(2), Fraction(1, 2))).coeffs == (2, Fraction(1, 2))``.
     ``leading()``, ``const_value()`` and evaluation return ``Fraction``.
+    ``denominator``, which is not compared, is the least common
+    denominator of the coefficients: 1 when all are ``int``.
     """
 
     coeffs: tuple[int | Fraction, ...]
+    denominator = 1  # not a field; set on the instance when it is not 1
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _canonical(coeffs))
+        coeffs, denominator = _canonical(coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+        if denominator != 1:
+            object.__setattr__(self, "denominator", denominator)
 
     @staticmethod
     def const(c) -> Poly:

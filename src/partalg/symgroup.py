@@ -262,50 +262,68 @@ class MatrixUnitSystem:
         return AlgebraElement(self.double_rank, chain.from_iterable(diagonal), self.mode)
 
 
-def _contents(tableau: tuple[tuple[int, ...], ...], size: int) -> tuple[int, ...]:
-    out = [0] * size
-    for i, row in enumerate(tableau):
-        for j, value in enumerate(row):
-            out[value - 1] = j - i
-    return tuple(out)
+def _addable_contents(shape) -> list[int]:
+    """Contents j - i of the boxes (i, j) that can be added to the shape."""
+    lengths = list(shape) + [0]
+    return [
+        length - i
+        for i, length in enumerate(lengths)
+        if i == 0 or lengths[i - 1] > length
+    ]
 
 
 @lru_cache(maxsize=None)
 def sym_matrix_units(size: int, mode: Mode = None) -> MatrixUnitSystem:
     """Matrix units for the group algebra of S_size; partalg.limits caps 2 * size.
 
-    Diagonal units come from interpolating each X_i at the content of i;
-    off-diagonal units are conjugates through the first tableau of each
-    shape, with the left factor rescaled to make the products exact.
+    Diagonal units grow along the branching tree (Okounkov-Vershik).
+    With m the largest entry of the tableau T, T' the tableau T
+    without m, and c_T(m) the content of m's box,
+
+        E_T = E_T' * prod (X_m - c) / (c_T(m) - c),
+
+    c running over the contents of the addable boxes of the shape of
+    T' other than c_T(m), and E of the empty tableau the identity.  X_m
+    is the sum of (j m) over j < m; it commutes with E_T' and acts on
+    its image with one eigenvalue per addable box.  Every prefix unit
+    is built once, and each unit is scaled once.  Off-diagonal units
+    are conjugates through the first tableau of each shape, with the
+    left factor rescaled to make the products exact.
+
+    >>> units = sym_matrix_units(2)
+    >>> print(units.unit((2,), ((1, 2),), ((1, 2),)))
+    (1/2)*{{1,-2},{-1,2}} + (1/2)*{{1,-1},{2,-2}}
+    >>> print(units.unit((1, 1), ((1,), (2,)), ((1,), (2,))))
+    (-1/2)*{{1,-2},{-1,2}} + (1/2)*{{1,-1},{2,-2}}
+    >>> sym_matrix_units(4).identity_sum() == one(8)
+    True
     """
     check("sym_matrix_units", 2 * size if type(size) is int else size)
     shapes = [tuple(p) for p in partitions_of(size)]
     tableaux = {shape: standard_tableaux_of(shape) for shape in shapes}
-    all_tabs = [t for shape in shapes for t in tableaux[shape]]
-    content_vectors = {t: _contents(t, size) for t in all_tabs}
-    if len(set(content_vectors.values())) != len(all_tabs):
-        raise DegenerateEigenvalues("content vectors collide")
-    spectrum = [
-        sorted({content_vectors[t][i] for t in all_tabs}) for i in range(size)
-    ]
-
-    # X_i, the sum of (j i) over j < i
+    # X_m, the sum of (j m) over j < m
     jm = [
-        _transposition_sum(((j, i) for j in range(1, i)), size, mode)
-        for i in range(1, size + 1)
+        _transposition_sum(((j, m) for j in range(1, m)), size, mode)
+        for m in range(1, size + 1)
     ]
     identity = one(2 * size, mode)
+    grown: dict[tuple, AlgebraElement] = {(): identity}
 
     def diagonal_unit(tableau) -> AlgebraElement:
-        out = identity
-        target = content_vectors[tableau]
-        for i in range(size):
-            for c in spectrum[i]:
-                if c == target[i]:
-                    continue
-                shifted = jm[i] - identity.scale(c)
-                out = multiply(out, shifted).scale(Fraction(1, target[i] - c))
-        return out
+        unit = grown.get(tableau)
+        if unit is not None:
+            return unit
+        m = sum(map(len, tableau))
+        row = next(i for i, r in enumerate(tableau) if r[-1] == m)
+        prefix = tuple(r[:-1] if i == row else r for i, r in enumerate(tableau) if r != (m,))
+        target = len(tableau[row]) - 1 - row
+        unit, ratio = diagonal_unit(prefix), 1
+        for c in _addable_contents(map(len, prefix)):
+            if c != target:
+                unit = multiply(unit, jm[m - 1] - identity.scale(c))
+                ratio *= target - c
+        grown[tableau] = unit = unit.scale(Fraction(1, ratio))
+        return unit
 
     units: dict = {}
     group = [Permutation(p) for p in permutations(range(1, size + 1))]

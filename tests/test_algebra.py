@@ -145,6 +145,22 @@ def test_orbit_sum_over_coarsenings_gives_diagram():
     assert total == elem(finest)
 
 
+@pytest.mark.parametrize("double_rank", range(1, 6))
+def test_refinements_against_brute_force(double_rank):
+    """refinements(d) lists, once each, every diagram whose blocks each
+    lie inside a block of d; at half ranks this keeps K and -K
+    together, where splitting them raised HalfIntegerConstraintViolated."""
+    diagrams = list(enumerate_diagrams(double_rank))
+    for d in diagrams:
+        blocks = [set(b) for b in d.blocks]
+        expect = {
+            e for e in diagrams if all(any(set(b) <= c for c in blocks) for b in e.blocks)
+        }
+        found = refinements(d)
+        assert len(found) == len(expect)
+        assert set(found) == expect
+
+
 def test_mobius_against_zeta_inversion():
     for double_rank in (2, 3, 4):
         basis = list(enumerate_diagrams(double_rank))
@@ -491,3 +507,43 @@ def test_constructor_sums_repeated_pairs(kind):
         for value in built.terms.values():
             assert not scalar_is_zero(value)
             _assert_canonical(value)
+
+
+def test_specialize_commutes_with_multiply():
+    """Generic products of rational Poly coefficients, with mixed
+    denominators, degrees up to 3 and sums that cancel, specialize to
+    the specialized products, and every output coefficient is
+    canonical."""
+    rng = random.Random(20040115)
+
+    def coeff():
+        degree = rng.randint(0, 3)
+        low = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 6, 9))) for _ in range(degree)]
+        return Poly(low + [Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 5, 7)))])
+
+    points = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3), Fraction(1, 2), Fraction(-5, 7)]
+    for dr in range(1, 7):
+        diagrams = list(enumerate_diagrams(dr))
+        for _ in range(3):
+            a, b = (
+                AlgebraElement(dr, {d: coeff() for d in rng.sample(diagrams, min(len(diagrams), 6))})
+                for _ in range(2)
+            )
+            pairs = [(a, b), (b, a), (a, b - b), (a, one(dr) + b)]
+            found = _cancelling_pair(diagrams, rng)
+            if found is not None:
+                # c d1 (x^r3 e2 - x^r2 e3) = 0; with halves and thirds the
+                # two contributions to d add to a sixth of the first
+                d1, e2, r2, e3, r3 = found
+                left = AlgebraElement(dr, {d1: coeff()})
+                cancelling = AlgebraElement(dr, {e2: X**r3, e3: -(X**r2)})
+                assert multiply(left, cancelling).is_zero()
+                partial = AlgebraElement(dr, {e2: X**r3 * Fraction(1, 2), e3: X**r2 * Fraction(-1, 3)})
+                pairs += [(left, cancelling), (a + left, cancelling), (left, partial)]
+            for x, y in pairs:
+                product = multiply(x, y)
+                for value in product.terms.values():
+                    _assert_canonical(value)
+                for n in points:
+                    expect = multiply(specialize(x, n), specialize(y, n))
+                    assert specialize(product, n) == expect

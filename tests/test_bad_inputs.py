@@ -94,6 +94,8 @@ NOT_INTEGERS = {
     'char_poly(("3",))': lambda: structure.char_poly(("3",)),  # .mu was (3,)
     "eps_ratio(2.5, (), ())": lambda: structure.eps_ratio(2.5, (), ()),  # eps_ratio(2, ...)
     "syt_dimension((1.5,))": lambda: syt_dimension((1.5,)),  # was 1
+    "char_poly((True,))": lambda: structure.char_poly((True,)),  # .mu was (1,)
+    "syt_dimension((2, True))": lambda: syt_dimension((2, True)),  # was 2
 }
 
 
@@ -156,12 +158,11 @@ ENTRIES = [
         ),
     ),
     _entry("symmetrize", structure.symmetrize, (one(2, Fraction(3)), 2, 3), (1, 2)),
-    # the double ranks of these four are pinned above: a huge one is a
-    # diagram with that many columns, and no cap applies to it
-    _entry("b_s", murphy.b_s, (4, [1, 2]), (1,)),
-    _entry("d_i", murphy.d_i, (4, [1, 2], [1]), (1, 2)),
-    _entry("p_s", murphy.p_s, (4, [1, 2]), (1,)),
-    _entry("p_tilde_s", murphy.p_tilde_s, (3, [1, 2]), (1,)),
+    _entry("generator", diagrams.generator, ("s", 1, 4), (1, 2)),
+    _entry("b_s", murphy.b_s, (4, [1, 2]), (0, 1)),
+    _entry("d_i", murphy.d_i, (4, [1, 2], [1]), (0, 1, 2)),
+    _entry("p_s", murphy.p_s, (4, [1, 2]), (0, 1)),
+    _entry("p_tilde_s", murphy.p_tilde_s, (3, [1, 2]), (0, 1)),
     _entry("Z", murphy.Z, (2,), (0,)),
     _entry("M", murphy.M, (2,), (0,)),
     _entry("murphy_family", murphy.murphy_family, (2,), (0,)),

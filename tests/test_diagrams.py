@@ -176,6 +176,10 @@ def test_generator_ranges():
         generator("e", 2, 5)
     assert generator("p", Fraction(5, 2), 5).blocks == ((1, -1), (2, -2, 3, -3))
     assert generator("p", 2, 5).blocks == ((1, -1), (2,), (-2,), (3, -3))
+    # an index Fraction cannot read leaked its TypeError or ValueError
+    for bad in (None, "x", float("nan"), float("inf")):
+        with pytest.raises(IndexOutOfRange):
+            generator("s", bad, 4)
 
 
 def test_enumerate_counts_against_insertion_oracle():
@@ -275,8 +279,10 @@ def test_perm_word_round_trip(images):
 def test_token_round_trip():
     for token in (("s", Fraction(1)), ("p", Fraction(3, 2)), ("e", Fraction(2))):
         assert parse_token(token_str(token)) == token
-    with pytest.raises(IndexOutOfRange):
-        parse_token("q_1")
+    # "s_x" leaked a ValueError from Fraction
+    for bad in ("q_1", "s_x", "p_1/3"):
+        with pytest.raises(IndexOutOfRange):
+            parse_token(bad)
 
 
 @pytest.mark.parametrize("double_rank", [2, 3, 4, 5, 6, 7, 8])

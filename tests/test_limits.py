@@ -8,10 +8,20 @@ import pytest
 
 from partalg import structure
 from partalg.algebra import AlgebraElement, one, specialize
-from partalg.diagrams import Diagram, enumerate_diagrams
+from partalg.diagrams import Diagram, enumerate_diagrams, generator
 from partalg.errors import BadParams, LimitExceeded
 from partalg.limits import LIMITS, check
-from partalg.murphy import M, Z, kappa_tensor_matrix, murphy_family, verify_murphy
+from partalg.murphy import (
+    M,
+    Z,
+    b_s,
+    d_i,
+    kappa_tensor_matrix,
+    murphy_family,
+    p_s,
+    p_tilde_s,
+    verify_murphy,
+)
 from partalg.scalars import parse_parameter
 from partalg.structure import (
     basic_construction_iso,
@@ -67,6 +77,13 @@ PAST_CAP = {
         lambda: Z(CAP["murphy_family"] + 1),
         lambda: M(CAP["murphy_family"] + 1),
         lambda: murphy_family(CAP["murphy_family"] + 1),
+        lambda: p_s(CAP["murphy_family"] + 1, [1]),
+        lambda: p_tilde_s(CAP["murphy_family"] + 1, [CAP["murphy_family"] // 2 + 1]),
+    ],
+    "diagram": [
+        lambda: generator("s", 1, CAP["diagram"] + 1),
+        lambda: b_s(CAP["diagram"] + 1, [1, 2]),
+        lambda: d_i(CAP["diagram"] + 1, [1, 2], [1]),
     ],
     "verify_murphy": [lambda: verify_murphy(CAP["verify_murphy"] + 1, [2])],
     # the unit is the sum of the witnesses' n
@@ -131,7 +148,7 @@ def test_one_past_the_cap_raises_before_allocating(name):
 
 def test_jobs_over_the_time_budget_are_refused():
     with pytest.raises(LimitExceeded):
-        sym_matrix_units(5)
+        sym_matrix_units(6)
     with pytest.raises(LimitExceeded):
         commutant_dims(3, 8)
     with pytest.raises(LimitExceeded):

@@ -129,6 +129,10 @@ def test_poly_stores_integral_coefficients_as_int():
     assert type(Poly((4,)).leading()) is Fraction
     assert type(Poly((4,)).const_value()) is Fraction
     assert type(Poly(()).const_value()) is Fraction
+    # the common denominator of the coefficients, which multiply scales by
+    assert mixed.denominator == 2
+    assert Poly((Fraction(1, 6), 0, Fraction(-3, 4), Fraction(0, 5))).denominator == 12
+    assert Poly((Fraction(4, 2), 3)).denominator == Poly(()).denominator == 1
 
 
 int_polys = st.lists(st.integers(min_value=-6, max_value=6), max_size=5).map(Poly)

@@ -6,7 +6,8 @@ from itertools import permutations
 
 import pytest
 
-from partalg.algebra import diagram_element, multiply, one
+from partalg import symgroup
+from partalg.algebra import diagram_element, multiply, one, zero
 from partalg.combinatorics import partitions_of, syt_dimension
 from partalg.diagrams import generator, make_diagram
 from partalg.errors import SizeMismatch
@@ -202,3 +203,49 @@ def test_units_specialized_mode():
     system = sym_matrix_units(3, Fraction(7))
     assert system.mode == Fraction(7)
     unit_system_obeys_relations(system)
+
+
+def _content(tableau, entry: int) -> int:
+    """Column minus row of the entry's box."""
+    for i, row in enumerate(tableau):
+        if entry in row:
+            return row.index(entry) - i
+    raise ValueError(entry)
+
+
+@pytest.mark.parametrize("mode", [None, Fraction(3)])
+def test_diagonal_units_are_jucys_murphy_eigenvectors(mode):
+    """X_i E_T = E_T X_i = c_T(i) E_T for every standard tableau T and
+    every i, with X_i the sum of the transpositions (j i), j < i."""
+    for size in range(1, 5):
+        system = sym_matrix_units(size, mode)
+        x = []
+        for i in range(1, size + 1):
+            x_i = zero(2 * size, mode)
+            for j in range(1, i):
+                x_i = x_i + transposition(j, i, size).to_element(mode)
+            x.append(x_i)
+        for shape, t, _ in system.diagonal_index():
+            unit = system.units[(shape, t, t)]
+            assert not unit.is_zero()
+            for i, x_i in enumerate(x, start=1):
+                expect = unit.scale(_content(t, i))
+                assert multiply(x_i, unit) == expect
+                assert multiply(unit, x_i) == expect
+
+
+def test_units_size_four_multiply_count(monkeypatch):
+    """The diagonal units grow along the branching tree, one product
+    per addable box other than the tableau's own at each step: 22
+    products for the 10 tableaux of size 4 and their prefixes, and 47
+    for the off-diagonal units.  Interpolating every X_i over every
+    content took 147."""
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return multiply(a, b)
+
+    monkeypatch.setattr(symgroup, "multiply", counting)
+    sym_matrix_units.__wrapped__(4)
+    assert len(calls) == 69
