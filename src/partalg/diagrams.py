@@ -616,7 +616,14 @@ def presentation_relations(double_rank: int) -> list[tuple[str, list[Token], lis
                     [p(fi + Fraction(3, 2))],
                 )
             )
-        if i >= 2 and fi + hf in ps:
+        for a in ps:
+            if a not in (fi - hf, fi, fi + hf, fi + 1, fi + Fraction(3, 2)):
+                rels.append((f"s_{i} past p_{a}", [s(i), p(a)], [p(a), s(i)]))
+    # uses s_{i-1} alone, so i runs to s_max + 1, where p_{i+1/2}
+    # exists at a half-integer rank
+    for i in range(2, s_max + 2):
+        fi = Fraction(i)
+        if fi + hf in ps:
             rels.append(
                 (
                     f"double merge {i}",
@@ -624,9 +631,6 @@ def presentation_relations(double_rank: int) -> list[tuple[str, list[Token], lis
                     [p(fi + hf), p(fi - hf)],
                 )
             )
-        for a in ps:
-            if a not in (fi - hf, fi, fi + hf, fi + 1, fi + Fraction(3, 2)):
-                rels.append((f"s_{i} past p_{a}", [s(i), p(a)], [p(a), s(i)]))
     return rels
 
 

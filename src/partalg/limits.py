@@ -20,6 +20,10 @@ LIMITS = {
     # double rank; gram(4, None, "diagram"), 0.13 s; gram(5, None,
     # "diagram") took 9.8-9.9 s, no margin under the budget
     "gram_generic_det": 4,
+    # double rank; semisimple_verdict(11, n) for n = 2..11 and 127,
+    # 2.6-2.9 s and 85 MB; its largest pairing matrix has side 810,
+    # and 3,720 at 12, which was not run
+    "semisimple_verdict": 11,
     "matrix_units": 4,  # double rank; matrix_units(4, 5), 0.01 s
     "basic_construction_iso": 5,  # double rank; at n = 1/2, 0.24 s
     # sampled quadruples of basic_construction_iso; at double rank 5

@@ -10,8 +10,10 @@ and r, depend on e only through its top half, because stacking d on e
 joins d's blocks to e's top-row blocks alone and passes e's bottom row
 through.  So the regular trace of a diagram takes one composition per
 top half, not per basis diagram.  Gram matrices of either form are
-symmetric, so half of each is computed; with exact determinants they
-give semisimplicity verdicts; per-vertex
+symmetric, so half of each is computed.  Semisimplicity verdicts read
+the cell forms instead, which the same top halves give: one half
+flipped onto another leaves n^r times a permutation of their
+propagating blocks, or drops propagation and pairs to 0.  Per-vertex
 character polynomials in the parameter give the trace weights level by
 level, and their ratios along branching-graph edges normalize a
 recursive construction of matrix units.  On top of those sit the
@@ -26,6 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
 from math import factorial, lcm, prod
 from typing import Sequence
 
@@ -52,10 +55,13 @@ from .combinatorics import (
 )
 from .diagrams import (
     Diagram,
+    _diagram,
+    _rg_strings,
     closure_components,
     columns,
     compose,
     enumerate_diagrams,
+    flip,
     identity_diagram,
     propagating_number,
 )
@@ -161,18 +167,32 @@ def _at(value: Poly, mode) -> Scalar:
 
 
 @lru_cache(maxsize=None)
-def _top_halves(double_rank: int) -> tuple[tuple[Diagram, int], ...]:
-    """The basis grouped by top half: (a representative, the group's
-    size) per group.  A top half is the labels of the top row, with
-    the set of those labels that also occur in the bottom row."""
+def _top_halves(double_rank: int) -> tuple[tuple[Diagram, ...], ...]:
+    """The top halves, grouped by their number m of free marked blocks;
+    entry m lists one standard diagram D_H per half H.
+
+    A half is a set partition of the top row with some blocks marked
+    propagating, ordered by their least vertices.  At a half-integer
+    rank the block of K is always marked; it is pinned, and only the
+    other m marked blocks are free.  D_H has top row H, its bottom
+    vertex -i joins the i-th free marked block, -K joins the pinned
+    block, and every other bottom vertex is a singleton.  A diagram is
+    a top half, a permutation of its free marked blocks and a flipped
+    bottom half, so len(entry m) * m! basis diagrams share each half of
+    entry m.
+    """
     k2 = columns(double_rank)
-    groups: dict[tuple, list] = {}
-    for e in _basis(double_rank):
-        top = e.labels[:k2]
-        key = (top, frozenset(top).intersection(e.labels[k2:]))
-        group = groups.setdefault(key, [e, 0])
-        group[1] += 1
-    return tuple((e, count) for e, count in groups.values())
+    half = double_rank % 2
+    groups: list[list[Diagram]] = [[] for _ in range(k2 + 1 - half)]
+    for top in _rg_strings(k2):
+        blocks = max(top, default=-1) + 1
+        pinned = top[-1:] * half  # the pinned block's label, if any
+        free = [b for b in range(blocks) if (b,) != pinned]
+        for m in range(len(free) + 1):
+            singletons = tuple(range(blocks, blocks + k2 - half - m))
+            for marked in combinations(free, m):
+                groups[m].append(_diagram(double_rank, top + marked + singletons + pinned))
+    return tuple(tuple(g) for g in groups)
 
 
 @lru_cache(maxsize=None)
@@ -189,10 +209,12 @@ def _regular_value(d: Diagram) -> Poly:
     """
     # r <= K: each removed component holds a middle vertex
     coeffs = [0] * (columns(d.double_rank) + 1)
-    for e, count in _top_halves(d.double_rank):
-        out, r = compose(d, e)
-        if out is e:
-            coeffs[r] += count
+    for m, halves in enumerate(_top_halves(d.double_rank)):
+        count = len(halves) * factorial(m)
+        for e in halves:
+            out, r = compose(d, e)
+            if out is e:
+                coeffs[r] += count
     return Poly(coeffs)
 
 
@@ -202,8 +224,10 @@ def regular_trace(a: AlgebraElement) -> Scalar:
     Linear in a: each diagram contributes its coefficient times its own
     regular trace, evaluated at the element's parameter.  Diagram
     values are cached, so a first call costs one composition per term
-    and top half, and no products.
+    and top half, and no products.  The double rank is capped by the
+    enumerate_diagrams entry of partalg.limits.
     """
+    check("enumerate_diagrams", a.double_rank)
     total = Fraction(0) if a.mode is not None else Poly(())
     for d, c in a.terms.items():
         total = total + c * _at(_regular_value(d), a.mode)
@@ -279,25 +303,65 @@ def gram(
     return GramReport(double_rank, mode, trace_kind, basis, matrix, det)
 
 
-def semisimple_verdict(double_rank: int, n: int) -> dict:
-    """Compares the parameter-range criterion with the regular-trace
-    Gram form; returns both routes.
+def _cell_pairings(double_rank: int, n: int):
+    """For each m, the matrix of the cell pairing on the halves of
+    _top_halves entry m, expanded over the regular representation of
+    S_m: one row and column per half H and permutation s, for the
+    diagram D_H s.
 
-    by_gram is whether the Gram determinant is nonzero, decided by
-    linalg.singular: certified by full rank mod a prime, or by an exact
-    integer kernel vector, without computing the determinant itself
-    (gram(double_rank, n).det gives it).
+    Stacking flip(D_B) on D_T gives n^r times the standard diagram of
+    entry m with a permutation p of the free marked blocks (i -> -p[i])
+    when all m free blocks, and the pinned one, propagate distinctly;
+    otherwise fewer blocks propagate and the pairing is 0.  The entry
+    of (B, s) and (T, t) is the coefficient of the identity in
+    flip(D_B s) D_T t = n^r s^-1 p t, so it is n^r where s = t o p as
+    maps.  Over Q this symmetric matrix is the direct sum over the
+    shapes lam of m of d_lam copies of the cell form of lam, because
+    the trace form of S_m splits so over its Wedderburn blocks.
+    """
+    k2 = columns(double_rank)
+    for m, halves in enumerate(_top_halves(double_rank)):
+        group = list(permutations(range(m)))
+        position = {s: i for i, s in enumerate(group)}
+        size = len(group)
+        rows = [[0] * (len(halves) * size) for _ in range(len(halves) * size)]
+        for b, flipped in enumerate(map(flip, halves)):
+            for t in range(b, len(halves)):
+                out, r = compose(flipped, halves[t])
+                if propagating_number(out) < m + double_rank % 2:
+                    continue
+                top, bottom = out.labels[:m], out.labels[k2 : k2 + m]
+                p = [bottom.index(label) for label in top]
+                value = n**r
+                for j, tau in enumerate(group):
+                    i = b * size + position[tuple(tau[x] for x in p)]
+                    rows[i][t * size + j] = rows[t * size + j][i] = value
+        yield rows
+
+
+def semisimple_verdict(double_rank: int, n: int) -> dict:
+    """Compares the parameter-range criterion with the cell forms;
+    returns both routes.
+
+    A_k(n) is cellular (Xi, 1999), so it is semisimple, and its
+    regular-trace Gram form nondegenerate, exactly when every cell form
+    is (Graham-Lehrer, 1996).  by_gram checks the cell forms of all
+    shapes of m at once, on one matrix per m from _cell_pairings, each
+    decided by linalg.singular with a certificate either way;
+    gram(double_rank, n).det gives the Gram determinant itself.  The
+    double rank is capped in partalg.limits.
 
     >>> semisimple_verdict(4, 2)["by_gram"]
     False
     >>> semisimple_verdict(4, 3)["by_gram"]
     True
     """
+    check("semisimple_verdict", double_rank)
     point = parse_parameter(n)
     if point.denominator != 1 or point < 2:
         raise BadParams("verdict needs an integer parameter n >= 2")
     n = int(point)
-    by_gram = not singular(gram(double_rank, n, "regular", want_det=False).matrix)
+    by_gram = not any(map(singular, _cell_pairings(double_rank, n)))
     by_theorem = double_rank <= n + 1
     return {
         "double_rank": double_rank,

@@ -24,6 +24,7 @@ from partalg.diagrams import (
     perm_word,
     permutation_diagram,
     planar_to_tl,
+    presentation_relations,
     propagating_number,
     token_str,
     verify_presentation,
@@ -288,6 +289,19 @@ def test_token_round_trip():
 @pytest.mark.parametrize("double_rank", [2, 3, 4, 5, 6, 7, 8])
 def test_presentation_holds(double_rank):
     assert verify_presentation(double_rank) == []
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_presentation_lists_the_top_double_merge_at_half_ranks(k):
+    # p_{k+1/2} s_{k-1} p_{k+1/2} = p_{k+1/2} p_{k-1/2} at rank k + 1/2,
+    # where s_{k-1} is the last transposition
+    double_rank = 2 * k + 1
+    top = Fraction(2 * k + 1, 2)
+    lhs = [("p", top), ("s", Fraction(k - 1)), ("p", top)]
+    rhs = [("p", top), ("p", top - 1)]
+    listed = {name: (l, r) for name, l, r in presentation_relations(double_rank)}
+    assert listed[f"double merge {k}"] == (lhs, rhs)
+    assert evaluate_word(lhs, double_rank) == evaluate_word(rhs, double_rank)
 
 
 def test_planar_tl_worked_example():

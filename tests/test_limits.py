@@ -30,6 +30,7 @@ from partalg.structure import (
     gram,
     matrix_units,
     radical_basis,
+    regular_trace,
     semisimple_verdict,
     specht,
     symmetrize,
@@ -48,6 +49,7 @@ CAP = LIMITS
 SIDE = CAP["tensor_side"] + 1
 # Built before any allocation is traced.
 ONE_PAST_SYMMETRIZE = one(CAP["symmetrize"] + 1, Fraction(3))
+ONE_PAST_ENUMERATE = one(CAP["enumerate_diagrams"] + 1)
 P1 = Diagram(2, [[1], [-1]])
 # Parameters one bit past the height cap: a fraction and an integer.
 TALL = Fraction(1, 2 ** CAP["parameter_bits"] - 1)
@@ -56,9 +58,13 @@ TALL_INT = 2 ** (CAP["parameter_bits"] - 1)
 # For each entry, the calls that ask for the first job past its cap,
 # in the entry's unit.
 PAST_CAP = {
-    "enumerate_diagrams": [lambda: enumerate_diagrams(CAP["enumerate_diagrams"] + 1)],
+    "enumerate_diagrams": [
+        lambda: enumerate_diagrams(CAP["enumerate_diagrams"] + 1),
+        lambda: regular_trace(ONE_PAST_ENUMERATE),
+    ],
     "gram": [lambda: gram(CAP["gram"] + 1, 3)],
     "gram_generic_det": [lambda: gram(CAP["gram_generic_det"] + 1, None)],
+    "semisimple_verdict": [lambda: semisimple_verdict(CAP["semisimple_verdict"] + 1, 3)],
     "matrix_units": [lambda: matrix_units(CAP["matrix_units"] + 1, 3)],
     "basic_construction_iso": [
         lambda: basic_construction_iso(CAP["basic_construction_iso"] + 1, 3)
@@ -209,14 +215,15 @@ def test_benchmark_sizes_are_admitted(monkeypatch):
     for rank in (4, 5):
         assert phi(next(iter(enumerate_diagrams(rank))), 3).side == 9
 
-    # semisimple_verdict(6, n) takes seconds; stop it at its first work
+    # admission is all this asks of semisimple_verdict(6, n); stop it at
+    # its first work
     class Admitted(Exception):
         pass
 
     def first_work(double_rank):
         raise Admitted
 
-    monkeypatch.setattr(structure, "_basis", first_work)
+    monkeypatch.setattr(structure, "_top_halves", first_work)
     for n in (2, 3, 4, 5):
         with pytest.raises(Admitted):
             structure.semisimple_verdict(6, n)

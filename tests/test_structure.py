@@ -22,8 +22,15 @@ from partalg.algebra import (
     specialize,
     trace,
 )
-from partalg.diagrams import closure_components, compose, enumerate_diagrams
-from partalg.linalg import PRIME, rank
+from partalg.combinatorics import counting
+from partalg.diagrams import (
+    closure_components,
+    columns,
+    compose,
+    enumerate_diagrams,
+    propagating_number,
+)
+from partalg.linalg import PRIME, rank, singular
 from partalg.scalars import Poly
 from partalg.structure import (
     basic_construction_iso,
@@ -32,6 +39,7 @@ from partalg.structure import (
     matrix_units,
     radical_basis,
     _regular_value,
+    _top_halves,
     regular_trace,
     semisimple_verdict,
     symmetrize,
@@ -159,8 +167,8 @@ def test_generic_regular_gram_roots():
 
 
 def test_semisimple_verdict_agrees_with_theorem():
-    for dr in range(2, 6):
-        for n in range(2, 5):
+    for dr in range(2, 10):
+        for n in range(2, dr + 2):
             report = semisimple_verdict(dr, n)
             assert report["by_gram"] == report["by_theorem"]
 
@@ -169,8 +177,32 @@ def test_semisimple_verdict_at_double_rank_six(elimination_moduli):
     reports = [semisimple_verdict(6, n) for n in range(2, 6)]
     assert [r["by_gram"] for r in reports] == [False, False, False, True]
     assert [r["by_theorem"] for r in reports] == [False, False, False, True]
-    # every singular Gram matrix is certified by a lifted kernel vector
-    assert elimination_moduli == [PRIME] * 4
+    # every verdict is certified mod PRIME, a singular pairing by a
+    # lifted kernel vector: none needs an elimination over Z
+    assert elimination_moduli and set(elimination_moduli) == {PRIME}
+
+
+@pytest.mark.parametrize("double_rank", range(7))
+def test_semisimple_verdict_matches_the_regular_gram_form(double_rank):
+    for n in range(2, 9):
+        regular = gram(double_rank, n, want_det=False).matrix
+        assert semisimple_verdict(double_rank, n)["by_gram"] == (not singular(regular))
+
+
+def test_top_halves_count_the_basis():
+    for dr in range(9):
+        k2 = columns(dr)
+        halves = _top_halves(dr)
+        total = sum(len(group) ** 2 * factorial(m) for m, group in enumerate(halves))
+        assert total == counting("bell", dr)
+        tops = set()
+        for m, group in enumerate(halves):
+            for d in group:
+                # the m free marked blocks and the pinned one propagate
+                assert propagating_number(d) == m + dr % 2
+                top = d.labels[:k2]
+                tops.add((top, frozenset(top).intersection(d.labels[k2:])))
+        assert len(tops) == sum(map(len, halves))
 
 
 def test_radical_dimension_is_gram_nullity():
