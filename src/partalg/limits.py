@@ -31,7 +31,10 @@ LIMITS = {
     "basic_construction_quadruples": 50_000,
     "radical_basis": 4,  # double rank; radical_basis(4, 2), 0.04 s
     "specht": 4,  # double rank; specht(4, (2,)), 0.01 s
-    "symmetrize": 5,  # double rank; symmetrize(one, 5, 7/3), 1.4 s; 6 took 57 s
+    # double rank; symmetrize(one, 5, n) at n = 7/3, -3/61 and 1/127,
+    # 0.04-0.06 s; at 6, 4.1-4.2 s for 7/3 but 15.0-15.2 s for -3/61 and
+    # 15.8-15.9 s for 1/127, over the budget
+    "symmetrize": 5,
     # double rank of Z, M, murphy_family and of the sums p_s and
     # p_tilde_s; murphy_family(8), 0.16 s
     "murphy_family": 8,

@@ -1,14 +1,14 @@
 """Exact dense linear algebra over Q and over polynomial rings.
 
-Determinants and ranks share one fraction-free (Bareiss) elimination
-over Z or another integral domain; it stays inside any domain
-supporting exact division (int, Fraction, Poly).  ``rank`` first scales
-each row by the least common multiple of its denominators, so its
-elimination runs on Python ints and every intermediate entry is a minor
-of that integer matrix.  Inverses work over Fraction entries via
-reduced row echelon form.  Every entry point raises ValueError on rows
-of unequal length, and on a non-square matrix where it needs a square
-one.
+Determinants, ranks, reduced row echelon forms and inverses share one
+fraction-free (Bareiss) elimination over Z or another integral domain;
+it stays inside any domain supporting exact division (int, Fraction,
+Poly).  A rational matrix is first scaled, each row by the least
+common multiple of its denominators, so its elimination runs on Python
+ints and every intermediate entry is a minor of that integer matrix;
+no row operation runs on Fractions.  Every entry point raises
+ValueError on rows of unequal length, and on a non-square matrix where
+it needs a square one.
 
 ``singular`` answers det == 0 with a certificate either way: full rank
 mod the prime p = PRIME proves det != 0, and an integer kernel vector,
@@ -29,7 +29,7 @@ into the next.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 __all__ = [
     "bareiss_det",
@@ -68,10 +68,12 @@ def _eliminate(m) -> tuple[int, int]:
     the row remembers the pivot in force when it was last updated and
     catches up when it is next used.  Returns (rank, sign of the row
     swaps); after the call m[rank - 1] holds the last pivot row, up to
-    date, with its pivot at the end of its leading zeros.
+    date, with its pivot at the end of its leading zeros, and each row
+    above it holds its pivot row as it was when it was used.
 
-    This is the only elimination over a domain; over Z/p, ``singular``
-    uses _eliminate_mod_p on packed rows.
+    This is the only elimination over a domain: bareiss_det, rank, rref
+    and singular's fallback all run on it.  Over Z/p, ``singular`` uses
+    _eliminate_mod_p on packed rows.
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -172,48 +174,54 @@ def bareiss_det(matrix):
     """Determinant of a square matrix by fraction-free elimination.
 
     Entries may be ints, Fractions, or any domain elements exposing
-    * and - and either / (exact) or .exact_div().  Intermediate values
-    stay in the same domain, never a fraction field.
+    * and - and either / (exact) or .exact_div().  A rational matrix is
+    scaled to integers first, det M = det(D M) / det D; intermediate
+    values stay in one domain, never a fraction field.
     """
     m = _checked([list(row) for row in matrix], square=True)
     n = len(m)
     if n == 0:
         return 1
+    scale = None
+    kinds = {type(v) for row in m for v in row}
+    if Fraction in kinds and kinds <= {int, Fraction}:
+        scale = prod(lcm(*(v.denominator for v in row)) for row in m)
+        m = [list(_integer_row(row)) for row in m]
     full, sign = _eliminate(m)
     det = m[n - 1][n - 1]
     if full < n:
-        return det - det
-    return det if sign == 1 else -det
+        det = det - det
+    elif sign < 0:
+        det = -det
+    return det if scale is None else Fraction(det, scale)
 
 
 def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fraction; returns (rows, pivot columns)."""
-    m = _checked([[Fraction(v) for v in row] for row in matrix])
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(row, len(m)):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        inv = Fraction(1) / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    return m, pivots
+    """Reduced row echelon form over Q; returns (rows as Fractions,
+    pivot columns), the zero rows last.
+
+    The rows, scaled to integers, are eliminated by _eliminate.  With d
+    the last pivot, back-substitution from the last pivot row up makes
+    each row d times its reduced row, every quotient exact because the
+    entries are minors; one division by d ends it.
+
+    >>> rows, pivots = rref([[1, 2, 3], [2, 4, 7], [3, 6, 10]])
+    >>> [[str(v) for v in row] for row in rows], pivots
+    ([['1', '2', '0'], ['0', '0', '1'], ['0', '0', '0']], [0, 2])
+    """
+    m = _checked([list(_integer_row(row)) for row in matrix])
+    full = _eliminate(m)[0]
+    pivots = [next(j for j, v in enumerate(row) if v) for row in m[:full]]
+    d = m[full - 1][pivots[-1]] if full else 1
+    for i in reversed(range(full - 1)):
+        row, col = m[i], pivots[i]
+        values = [d * v for v in row[col:]]
+        for k in range(i + 1, full):
+            lead = row[pivots[k]]
+            if lead:
+                values = [a - lead * b for a, b in zip(values, m[k][col:])]
+        row[col:] = _divide_row(values, row[col])
+    return [[Fraction(v, d) for v in row] for row in m], pivots
 
 
 def rank(matrix) -> int:
@@ -243,10 +251,19 @@ def _integer_row(row):
 
 
 def invert(matrix) -> list[list[Fraction]]:
-    """Inverse of a square matrix over Q; raises ValueError if singular."""
-    rows = _checked([[Fraction(v) for v in row] for row in matrix], square=True)
+    """Inverse of a square matrix over Q, read off the reduced row
+    echelon form of [M | I]; raises ValueError if singular.
+
+    >>> [[str(v) for v in row] for row in invert([[2, 1], [4, 3]])]
+    [['3/2', '-1/2'], ['-2', '1']]
+    >>> invert([[1, 2], [2, 4]])
+    Traceback (most recent call last):
+    ...
+    ValueError: matrix is singular
+    """
+    rows = _checked([list(row) for row in matrix], square=True)
     n = len(rows)
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     reduced, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")

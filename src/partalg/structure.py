@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial, lcm, prod
+from math import factorial
 from typing import Sequence
 
 from .algebra import (
@@ -293,13 +293,9 @@ def gram(
     )
     det: Scalar | None = None
     if want_det:
-        if mode is None:
-            det = bareiss_det([list(row) for row in matrix])
-        else:
-            # det M = det(D M) / det D, with D scaling each row to integers
-            dens = [lcm(*(v.denominator for v in row)) for row in matrix]
-            rows = [[v.numerator * d // v.denominator for v in r] for r, d in zip(matrix, dens)]
-            det = Fraction(bareiss_det(rows), prod(dens))
+        det = bareiss_det(matrix)
+        if mode is not None:
+            det = Fraction(det)  # an int at integral n, as a Fraction like any numeric n
     return GramReport(double_rank, mode, trace_kind, basis, matrix, det)
 
 
@@ -727,7 +723,8 @@ def symmetrize(
     """Averages a over the algebra: sum of b a b* with b* the dual
     basis of the regular trace form.  The result is central; it does
     not depend on the basis choice, which the optional argument lets
-    tests exercise.  On the diagram basis the form is read from gram;
+    tests exercise; it must have Bell(double_rank) elements, each
+    specialized at n.  On the diagram basis the form is read from gram;
     on another basis it is the regular trace of each product."""
     check("symmetrize", double_rank)
     point = parse_parameter(n)
@@ -742,6 +739,11 @@ def symmetrize(
         table = gram(double_rank, point, want_det=False).matrix
     else:
         basis = list(basis)
+        if any(u.mode != point for u in basis):
+            raise ModeMismatch(f"every basis element must be specialized at n = {n}")
+        size = len(_basis(double_rank))
+        if len(basis) != size:
+            raise BadParams(f"a basis has {size} elements, not {len(basis)}")
         table = [[regular_trace(multiply(u, v)) for v in basis] for u in basis]
     try:
         inverse = invert(table)

@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from partalg import diagrams, murphy, structure, symgroup, tensor
-from partalg.algebra import one
+from partalg.algebra import diagram_element, one
 from partalg.combinatorics import syt_dimension
 from partalg.diagrams import Diagram, enumerate_diagrams
-from partalg.errors import BadParams, BadShape, PartalgError
+from partalg.errors import BadParams, BadShape, ModeMismatch, PartalgError
 from partalg.scalars import parse_rational
 
 P1 = Diagram(2, [[1], [-1]])
@@ -108,6 +108,23 @@ def test_non_integers_are_refused_not_truncated(call):
 def test_enumerate_checks_at_the_call():
     with pytest.raises(BadParams):
         enumerate_diagrams(-2)
+
+
+def test_symmetrize_refuses_a_basis_not_specialized_at_n():
+    generic = [diagram_element(d) for d in enumerate_diagrams(2)]
+    with pytest.raises(ModeMismatch):
+        structure.symmetrize(one(2, 3), 2, 3, basis=generic)
+    elsewhere = [diagram_element(d, 1, Fraction(4)) for d in enumerate_diagrams(2)]
+    with pytest.raises(ModeMismatch):
+        structure.symmetrize(one(2, 3), 2, 3, basis=elsewhere)
+
+
+@pytest.mark.parametrize("size", [0, 1, 3])
+def test_symmetrize_refuses_a_basis_of_the_wrong_size(size):
+    # Bell(2) = 2; a smaller or larger list is not a basis
+    basis = [one(2, 3), diagram_element(P1, 1, Fraction(3)), one(2, 3)][:size]
+    with pytest.raises(BadParams):
+        structure.symmetrize(one(2, 3), 2, 3, basis=basis)
 
 
 def _bad_values(rng: random.Random) -> list:

@@ -32,11 +32,16 @@ def naive_det(matrix):
 
 
 small_ints = st.integers(min_value=-6, max_value=6)
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 
 
-@given(st.integers(min_value=1, max_value=4).flatmap(
-    lambda n: st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n)
-))
+def square_matrices(entries):
+    return st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+@given(st.sampled_from([small_ints, small_fractions, small_ints | small_fractions]).flatmap(square_matrices))
 def test_bareiss_matches_cofactor(matrix):
     assert bareiss_det(matrix) == naive_det(matrix)
 
@@ -126,19 +131,82 @@ def rank_cases():
     return cases
 
 
+def _fraction_rref(matrix):
+    """Gauss-Jordan elimination over Fraction, the row operations that
+    rref ran before it moved onto the fraction-free elimination, kept
+    as its oracle: each pivot row scaled so its pivot is 1, then its
+    column cleared in every other row."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    pivots = []
+    row = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot_row = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[row], m[pivot_row] = m[pivot_row], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [v * inv for v in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(m):
+            break
+    return m, pivots
+
+
+def _fraction_inverse(matrix):
+    """The inverse of a square matrix from _fraction_rref of [M | I],
+    or None if it is singular."""
+    n = len(matrix)
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    reduced, pivots = _fraction_rref(augmented)
+    return [row[n:] for row in reduced] if pivots[:n] == list(range(n)) else None
+
+
+def oracle_cases():
+    from partalg.structure import gram
+
+    return rank_cases() + square_cases() + [gram(4, n).matrix for n in (3, Fraction(-5, 7))]
+
+
 def test_rank_matches_rref():
     for m in rank_cases():
-        expected = len(rref(m)[1])
+        expected = len(_fraction_rref(m)[1])
         assert rank(m) == expected, m
         if m and m[0]:
             assert rank([list(col) for col in zip(*m)]) == expected, m
 
 
+def test_rref_invert_and_rank_match_fraction_oracle():
+    inverted = 0
+    for m in oracle_cases():
+        reduced, pivots = rref(m)
+        expected, expected_pivots = _fraction_rref(m)
+        assert (reduced, pivots) == (expected, expected_pivots), m
+        assert all(type(v) is Fraction for row in reduced for v in row), m
+        assert not any(any(row) for row in reduced[len(pivots) :]), m
+        assert rank(m) == len(expected_pivots), m
+        if len(m) != len(m[0] if m else []):
+            continue
+        inverse = _fraction_inverse(m)
+        if inverse is None:
+            with pytest.raises(ValueError):
+                invert(m)
+        else:
+            assert invert(m) == inverse, m
+            inverted += 1
+    assert inverted > 20
+
+
 def test_rank_leaves_input_alone():
-    m = [[Fraction(1, 2), 2], [1, 4]]
-    copy = [row[:] for row in m]
-    assert rank(m) == 1
-    assert m == copy
+    for m, expected in (([[Fraction(1, 2), 2], [1, 4]], 1), ([[1, 2], [3, 4]], 2)):
+        copy = [row[:] for row in m]
+        assert rank(m) == expected
+        rref(m)
+        assert m == copy
 
 
 def test_rank_and_det_against_sympy():

@@ -166,6 +166,15 @@ def test_generic_regular_gram_roots():
         assert _integer_roots(det) == roots
 
 
+def test_gram_determinants_at_rational_n_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in (3, Fraction(-5, 7)):
+        for dr in range(1, 5):
+            report = gram(dr, n)
+            assert type(report.det) is Fraction
+            assert report.det == sympy.Matrix(report.matrix).det(), (dr, n)
+
+
 def test_semisimple_verdict_agrees_with_theorem():
     for dr in range(2, 10):
         for n in range(2, dr + 2):
