@@ -284,11 +284,12 @@ def _generator_diagrams(double_rank: int) -> list[Diagram]:
 
 
 def _joint_nullity(mats: Sequence[EndoMatrix], values: Sequence[int]) -> int:
-    """Dimension of the common kernel of the shifts m - t."""
+    """Dimension of the common kernel of the shifts m - t, each block
+    of rows taken as den * (m - t) = num - t * den, of the same rank."""
     stacked = [
-        [v - t if i == j else v for j, v in enumerate(row)]
+        [v - t * m.den if i == j else v for j, v in enumerate(row)]
         for m, t in zip(mats, values)
-        for i, row in enumerate(m.rows)
+        for i, row in enumerate(m.num)
     ]
     return mats[0].side - matrix_rank(stacked)
 

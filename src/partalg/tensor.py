@@ -8,15 +8,17 @@ vector.  The nonzero entries are generated, not searched for: each
 labelling of the blocks lands at one flat position, the sum over blocks
 of label times the block's place weight, so a diagram with b free
 blocks costs n**b steps rather than a test of every pair of labelings;
-orbit elements take the labellings with distinct labels.  Matrices are
-exact, with int or Fraction entries.
+orbit elements take the labellings with distinct labels.  A matrix is
+exact: int rows over one positive common denominator, in lowest terms,
+so equality compares ints and no operation does Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, permutations, product
+from math import gcd, lcm
 from operator import mul
 
 from .algebra import AlgebraElement, multiply
@@ -44,11 +46,23 @@ class EndoMatrix:
     Rows are indexed by top (input) labelings, columns by bottom
     (output) labelings, both enumerated big-endian with the first slot
     most significant; with that layout the matrix product of two
-    diagram actions stacks the diagrams top to bottom.  Entries are
-    ints or Fractions.
+    diagram actions stacks the diagrams top to bottom.
+
+    The entries are the int rows ``num`` over one positive int ``den``,
+    kept in lowest terms (gcd(den, *entries) == 1), so equal matrices
+    store equal rows and denominators and every operation runs on ints.
+    The constructor takes int and Fraction entries; ``rows`` shows them
+    as ints where integral and Fractions otherwise.
+
+    >>> m = EndoMatrix(2, 1, [[Fraction(1, 2), 1], [0, 2]])
+    >>> p = (m @ m).scale(3)
+    >>> p.rows
+    [[Fraction(3, 4), Fraction(15, 2)], [0, 12]]
+    >>> p.num, p.den
+    ([[3, 30], [0, 48]], 4)
     """
 
-    __slots__ = ("n", "slots", "rows")
+    __slots__ = ("n", "slots", "num", "den")
 
     def __init__(self, n: int, slots: int, rows):
         side = _side(n, slots)
@@ -60,28 +74,47 @@ class EndoMatrix:
             raise BadParams("matrix side must be n**slots")
         if not all(isinstance(v, (int, Fraction)) for row in rows for v in row):
             raise BadParams("entries must be ints or Fractions")
+        # over the lcm of reduced denominators the rows are in lowest terms
+        den = lcm(*(v.denominator for row in rows for v in row))
         self.n = n
         self.slots = slots
-        self.rows = rows
+        self.num = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
+        self.den = den
 
     @classmethod
-    def _of(cls, n: int, slots: int, rows) -> EndoMatrix:
-        """Wraps rows built in this module, without copying or checking."""
+    def _of(cls, n: int, slots: int, num, den: int = 1) -> EndoMatrix:
+        """Wraps int rows over den > 0 built in this module, without
+        copying or checking, reduced to lowest terms when den > 1."""
+        if den > 1:
+            g = gcd(den, *chain.from_iterable(num))
+            if g > 1:
+                den //= g
+                num = [[v // g for v in row] for row in num]
         m = cls.__new__(cls)
         m.n = n
         m.slots = slots
-        m.rows = rows
+        m.num = num
+        m.den = den
         return m
 
     @classmethod
-    def _of_flat(cls, n: int, slots: int, flat) -> EndoMatrix:
+    def _of_flat(cls, n: int, slots: int, flat, den: int = 1) -> EndoMatrix:
         side = n**slots
-        rows = [flat[i : i + side] for i in range(0, len(flat), side)]
-        return cls._of(n, slots, rows)
+        num = [flat[i : i + side] for i in range(0, len(flat), side)]
+        return cls._of(n, slots, num, den)
 
     @property
     def side(self) -> int:
         return self.n**self.slots
+
+    @property
+    def rows(self) -> list[list[int | Fraction]]:
+        """The entries: the int rows themselves when den == 1, else
+        ints where integral and Fractions otherwise."""
+        den = self.den
+        if den == 1:
+            return self.num
+        return [[Fraction(v, den) if v % den else v // den for v in row] for row in self.num]
 
     @staticmethod
     def zero(n: int, slots: int) -> EndoMatrix:
@@ -101,20 +134,27 @@ class EndoMatrix:
 
     def __add__(self, other: EndoMatrix) -> EndoMatrix:
         self._check(other)
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
         return EndoMatrix._of(
             self.n,
             self.slots,
             [
-                [a + b for a, b in zip(row_a, row_b)]
-                for row_a, row_b in zip(self.rows, other.rows)
+                [sa * a + sb * b for a, b in zip(row_a, row_b)]
+                for row_a, row_b in zip(self.num, other.num)
             ],
+            den,
         )
 
-    def scale(self, value) -> EndoMatrix:
-        if not isinstance(value, int):
-            value = Fraction(value)
+    def scale(self, value: int | Fraction) -> EndoMatrix:
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise BadParams(f"scale by an int or a Fraction, not {value!r}")
+        p = value.numerator
         return EndoMatrix._of(
-            self.n, self.slots, [[value * v for v in row] for row in self.rows]
+            self.n,
+            self.slots,
+            [[p * v for v in row] for row in self.num],
+            self.den * value.denominator,
         )
 
     def __sub__(self, other: EndoMatrix) -> EndoMatrix:
@@ -126,32 +166,33 @@ class EndoMatrix:
         side = self.side
         out = [[0] * side for _ in range(side)]
         sparse_other = [
-            [(j, v) for j, v in enumerate(row) if v] for row in other.rows
+            [(j, v) for j, v in enumerate(row) if v] for row in other.num
         ]
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(self.num):
             target = out[i]
             for t, a in enumerate(row):
                 if a:
                     for j, b in sparse_other[t]:
                         target[j] += a * b
-        return EndoMatrix._of(self.n, self.slots, out)
+        return EndoMatrix._of(self.n, self.slots, out, self.den * other.den)
 
     def trace(self) -> Fraction:
-        return Fraction(sum(self.rows[i][i] for i in range(self.side)))
+        return Fraction(sum(self.num[i][i] for i in range(self.side)), self.den)
 
     def is_zero(self) -> bool:
-        return all(not v for row in self.rows for v in row)
+        return all(not v for row in self.num for v in row)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, EndoMatrix)
             and self.n == other.n
             and self.slots == other.slots
-            and self.rows == other.rows
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.n, self.slots, tuple(tuple(r) for r in self.rows)))
+        return hash((self.n, self.slots, self.den, tuple(map(tuple, self.num))))
 
     def flat(self) -> list[int | Fraction]:
         return [v for row in self.rows for v in row]
@@ -217,21 +258,28 @@ def phi(b: Diagram | AlgebraElement, n: int) -> EndoMatrix:
         slots = _action_shape(b.double_rank, n)[0]
         if b.mode != n:
             raise BadParams("element must be specialized at the same n")
+        # coefficients scaled to ints over the lcm of their denominators
+        den = lcm(*(c.denominator for c in b.terms.values()))
         flat = [0] * n ** (2 * slots)
         for d, c in b.terms.items():
-            # integral coefficients enter as ints, so the matrix stays integer
-            c = c.numerator if c.denominator == 1 else c
+            c = c.numerator * (den // c.denominator)
             for p in _support(d, n):
                 flat[p] += c
-        return EndoMatrix._of_flat(n, slots, flat)
-    return _indicator(_support(b, n), n, b.double_rank // 2)
+        return EndoMatrix._of_flat(n, slots, flat, den)
+    return _indicator(_support(_checked_diagram(b), n), n, b.double_rank // 2)
 
 
 def phi_orbit(d: Diagram, n: int) -> EndoMatrix:
     """Action of the orbit element of d: entry 1 only when the label
     pattern matches the blocks of d exactly (distinct labels on
     distinct blocks)."""
-    return _indicator(_support(d, n, distinct=True), n, d.double_rank // 2)
+    return _indicator(_support(_checked_diagram(d), n, distinct=True), n, d.double_rank // 2)
+
+
+def _checked_diagram(d) -> Diagram:
+    if not isinstance(d, Diagram):
+        raise BadParams(f"need a Diagram, not {d!r}")
+    return d
 
 
 def _indicator(support: list[int], n: int, slots: int) -> EndoMatrix:
@@ -244,7 +292,11 @@ def _indicator(support: list[int], n: int, slots: int) -> EndoMatrix:
 def sym_tensor_matrix(images, n: int, slots: int) -> EndoMatrix:
     """Diagonal permutation action: relabels every tensor slot."""
     _side(n, slots)
-    if sorted(images) != list(range(1, n + 1)):
+    try:
+        bijection = sorted(images) == list(range(1, n + 1))
+    except TypeError:
+        bijection = False
+    if not bijection:
         raise BadParams("images must be a bijection of 1..n")
     labels = list(product(range(1, n + 1), repeat=slots))
     position = {lab: t for t, lab in enumerate(labels)}
@@ -266,21 +318,18 @@ def endo_eps(b: EndoMatrix, which: str) -> EndoMatrix:
     outer = n ** (slots - 1)
     if which == "down":
         rows = [
-            [
-                b.rows[i][j] if i % n == j % n else 0
-                for j in range(b.side)
-            ]
-            for i in range(b.side)
+            [v if i % n == j % n else 0 for j, v in enumerate(row)]
+            for i, row in enumerate(b.num)
         ]
-        return EndoMatrix._of(n, slots, rows)
+        return EndoMatrix._of(n, slots, rows, b.den)
     if which in ("up", "one"):
         # "up" sums every pair of last labels, "one" the equal pairs
         last = [(a, c) for a in range(n) for c in range(n) if which == "up" or a == c]
         rows = [
-            [sum(b.rows[i * n + a][j * n + c] for a, c in last) for j in range(outer)]
+            [sum(b.num[i * n + a][j * n + c] for a, c in last) for j in range(outer)]
             for i in range(outer)
         ]
-        return EndoMatrix._of(n, slots - 1, rows)
+        return EndoMatrix._of(n, slots - 1, rows, b.den)
     raise BadParams(f"unknown direction {which!r}")
 
 
@@ -289,14 +338,18 @@ def restrict_last(b: EndoMatrix, value: int | None = None) -> EndoMatrix:
     index (default: the last one)."""
     if b.slots < 1:
         raise BadParams("no tensor slot to restrict")
-    pin = (b.n if value is None else value) - 1
+    if value is None:
+        value = b.n
+    elif isinstance(value, bool) or not isinstance(value, int):
+        raise BadParams(f"pinned value must be an int, not {value!r}")
+    pin = value - 1
     if not 0 <= pin < b.n:
         raise BadParams("pinned value out of range")
     n, outer = b.n, b.n ** (b.slots - 1)
     rows = [
-        [b.rows[i * n + pin][j * n + pin] for j in range(outer)] for i in range(outer)
+        [b.num[i * n + pin][j * n + pin] for j in range(outer)] for i in range(outer)
     ]
-    return EndoMatrix._of(n, b.slots - 1, rows)
+    return EndoMatrix._of(n, b.slots - 1, rows, b.den)
 
 
 def homomorphism_check(

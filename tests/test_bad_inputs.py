@@ -14,6 +14,7 @@ from partalg.errors import BadParams, BadShape, ModeMismatch, PartalgError
 from partalg.scalars import parse_rational
 
 P1 = Diagram(2, [[1], [-1]])
+IDENTITY = tensor.EndoMatrix.identity(2, 1)
 
 
 @pytest.mark.parametrize("text", ["x", "1/0", None, "nan", 1.5j])
@@ -101,6 +102,29 @@ NOT_INTEGERS = {
 
 @pytest.mark.parametrize("call", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
 def test_non_integers_are_refused_not_truncated(call):
+    with pytest.raises(BadParams):
+        call()
+
+
+TENSOR_ARGUMENTS = {
+    # each leaked TypeError, ValueError or AttributeError, or was read
+    # as another value (0.5 as 1/2, True as 1)
+    'scale("x")': lambda: IDENTITY.scale("x"),
+    "scale(None)": lambda: IDENTITY.scale(None),
+    "scale(0.5)": lambda: IDENTITY.scale(0.5),
+    "scale(True)": lambda: IDENTITY.scale(True),
+    "restrict_last(m, 3/2)": lambda: tensor.restrict_last(IDENTITY, Fraction(3, 2)),
+    'restrict_last(m, "a")': lambda: tensor.restrict_last(IDENTITY, "a"),
+    "restrict_last(m, True)": lambda: tensor.restrict_last(IDENTITY, True),
+    "sym_tensor_matrix(None, 2, 2)": lambda: tensor.sym_tensor_matrix(None, 2, 2),
+    'sym_tensor_matrix([1, "a"], 2, 2)': lambda: tensor.sym_tensor_matrix([1, "a"], 2, 2),
+    'phi("x", 2)': lambda: tensor.phi("x", 2),
+    'phi_orbit("x", 2)': lambda: tensor.phi_orbit("x", 2),
+}
+
+
+@pytest.mark.parametrize("call", TENSOR_ARGUMENTS.values(), ids=TENSOR_ARGUMENTS.keys())
+def test_tensor_arguments_that_cannot_be_read(call):
     with pytest.raises(BadParams):
         call()
 
@@ -193,9 +217,11 @@ ENTRIES = [
         (0, 1),
     ),
     _entry("sym_matrix_units", symgroup.sym_matrix_units, (2,), (0,)),
-    _entry("phi", tensor.phi, (P1, 2), (1,)),
-    _entry("phi_orbit", tensor.phi_orbit, (P1, 2), (1,)),
-    _entry("sym_tensor_matrix", tensor.sym_tensor_matrix, ([2, 1], 2, 1), (1, 2)),
+    _entry("phi", tensor.phi, (P1, 2), (0, 1)),
+    _entry("phi_orbit", tensor.phi_orbit, (P1, 2), (0, 1)),
+    _entry("sym_tensor_matrix", tensor.sym_tensor_matrix, ([2, 1], 2, 1), (0, 1, 2)),
+    _entry("EndoMatrix.scale", IDENTITY.scale, (3,), (0,)),
+    _entry("restrict_last", lambda v: tensor.restrict_last(IDENTITY, v), (1,), (0,)),
     _entry("homomorphism_check", tensor.homomorphism_check, (2, 2, 4), (0, 1, 2)),
     _entry("commutant_dims", tensor.commutant_dims, (2, 2), (0, 1)),
     _entry("bimodule_dimension_check", tensor.bimodule_dimension_check, (2, 2), (0, 1)),

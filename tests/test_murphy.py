@@ -258,6 +258,15 @@ def test_kappa_tensor_matrix_checks_cap_before_allocating():
     assert peak < 1 << 20
 
 
+def test_joint_nullity_reads_matrices_with_a_denominator():
+    # eigenvalues 2 (vector (1, 1)) and 1 (vector (1, -1)), stored as
+    # [[3, 1], [1, 3]] over 2
+    m = EndoMatrix(2, 1, [[Fraction(3, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(3, 2)]])
+    assert m.den == 2
+    assert [murphy._joint_nullity([m], [t]) for t in (1, 2, 3)] == [1, 1, 0]
+    assert murphy._joint_nullity([m, m], [1, 2]) == 0
+
+
 def test_first_family_member_eigenvalues_at_witness_seven():
     m = phi(specialize(M(2), Fraction(7)), 7)
     shifted_up = [

@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, permutations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -343,3 +344,66 @@ def test_phi_is_linear(coeffs, picks):
     b = element(4, {basis[picks[1]]: coeffs[1]}, mode)
     assert phi(a + b, 2) == phi(a, 2) + phi(b, 2)
     assert phi(multiply(a, b), 2) == phi(a, 2) @ phi(b, 2)
+
+
+def fraction_element(rng, double_rank, n):
+    """Seeded element specialized at n, coefficients with denominators 1..6."""
+    diagrams = list(enumerate_diagrams(double_rank))
+    picks = rng.sample(diagrams, min(len(diagrams), rng.randint(1, 4)))
+    coeffs = {d: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 6)) for d in picks}
+    return element(double_rank, coeffs, Fraction(n))
+
+
+def test_phi_is_multiplicative_and_linear_with_fraction_coefficients():
+    rng = random.Random(20040113)
+    for dr in range(2, 6):
+        for n in (1, 2, 3):
+            for _ in range(4):
+                a, b = fraction_element(rng, dr, n), fraction_element(rng, dr, n)
+                r = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                assert phi(multiply(a, b), n) == phi(a, n) @ phi(b, n)
+                assert phi(a.scale(r) + b, n) == phi(a, n).scale(r) + phi(b, n)
+
+
+def fraction_product(x, y):
+    """Matrix product over Fractions, entry by entry."""
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*y)] for row in x]
+
+
+def test_rows_of_arithmetic_match_a_fraction_oracle():
+    rng = random.Random(20040114)
+    for dr in range(2, 6):
+        for n in (1, 2, 3):
+            a = phi(fraction_element(rng, dr, n), n)
+            b = phi(fraction_element(rng, dr, n), n)
+            r = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            x, y = a.rows, b.rows
+            results = {
+                "@": ((a @ b).rows, fraction_product(x, y)),
+                "+": ((a + b).rows, [[u + v for u, v in zip(p, q)] for p, q in zip(x, y)]),
+                "-": ((a - b).rows, [[u - v for u, v in zip(p, q)] for p, q in zip(x, y)]),
+                "scale": (a.scale(r).rows, [[r * u for u in p] for p in x]),
+            }
+            for op, (got, want) in results.items():
+                assert got == want, (op, dr, n)
+                # ints where integral, reduced Fractions otherwise
+                assert all(
+                    type(v) is int or (type(v) is Fraction and v.denominator > 1)
+                    for v in chain.from_iterable(got)
+                ), (op, dr, n)
+            assert a.trace() == sum((x[i][i] for i in range(a.side)), Fraction(0))
+
+
+def test_endomatrix_is_kept_in_lowest_terms():
+    rng = random.Random(20040115)
+    m = phi(fraction_element(rng, 4, 2), 2)
+    for built in (m, m @ m, m.scale(Fraction(2, 3)), m + m.scale(Fraction(1, 5))):
+        assert type(built.den) is int and built.den > 0
+        assert all(type(v) is int for v in chain.from_iterable(built.num))
+        assert gcd(built.den, *chain.from_iterable(built.num)) == 1
+    back = m.scale(Fraction(1, 2)).scale(2)
+    assert back == m and hash(back) == hash(m)
+    two, also_two = EndoMatrix(1, 1, [[Fraction(2)]]), EndoMatrix(1, 1, [[2]])
+    assert two == also_two and hash(two) == hash(also_two)
+    assert two.den == 1 and type(two.rows[0][0]) is int
+    assert (m - m).den == 1 and (m - m).is_zero()
