@@ -42,9 +42,6 @@ from .scalars import (
     RatFunc,
     Scalar,
     parse_parameter,
-    rational_str,
-    scalar_from_json,
-    scalar_to_json,
 )
 
 __all__ = [
@@ -174,34 +171,11 @@ class AlgebraElement:
             self.mode,
         )
 
-    def sorted_terms(self) -> list[tuple[Diagram, Scalar]]:
-        return sorted(self.terms.items(), key=lambda item: item[0].blocks)
-
-    def to_json(self) -> dict:
-        mode = "generic" if self.mode is None else {"n": rational_str(self.mode)}
-        return {
-            "double_rank": self.double_rank,
-            "mode": mode,
-            "terms": [
-                {"diagram": d.to_json(), "coeff": scalar_to_json(c)}
-                for d, c in self.sorted_terms()
-            ],
-        }
-
-    @staticmethod
-    def from_json(data) -> AlgebraElement:
-        mode = None if data["mode"] == "generic" else parse_parameter(data["mode"]["n"])
-        terms = [
-            (Diagram.from_json(t["diagram"]), scalar_from_json(t["coeff"]))
-            for t in data["terms"]
-        ]
-        return AlgebraElement(int(data["double_rank"]), terms, mode)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for d, c in self.sorted_terms():
+        for d, c in sorted(self.terms.items(), key=lambda item: item[0].blocks):
             blocks = ",".join(
                 "{" + ",".join(str(v) for v in b) + "}" for b in d.blocks
             )

@@ -213,14 +213,6 @@ class BratteliGraph:
     def path_count(self, double_level: int, vertex) -> int:
         return len(self.paths(double_level, vertex))
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "levels": [[list(v) for v in level] for level in self.levels],
-            "edges": [[list(e) for e in es] for es in self.edges],
-        }
-
 
 def build_bratteli(kind: str, double_rank: int, n: int | None = None) -> BratteliGraph:
     """Builds the abstract or concrete graph up to level double_rank/2.

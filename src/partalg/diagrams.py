@@ -141,13 +141,6 @@ class Diagram:
                 return b
         raise VertexOutOfRange(f"vertex {v} not in diagram")
 
-    def to_json(self) -> dict:
-        return {"double_rank": self.double_rank, "blocks": [list(b) for b in self.blocks]}
-
-    @staticmethod
-    def from_json(data) -> Diagram:
-        return Diagram(int(data["double_rank"]), data["blocks"])
-
     def __repr__(self) -> str:
         return f"Diagram({self.double_rank}, {self.blocks})"
 

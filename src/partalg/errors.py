@@ -19,7 +19,6 @@ __all__ = [
     "BadParams",
     "VertexNotFound",
     "SizeMismatch",
-    "DegenerateEigenvalues",
     "BadSubset",
     "NotSemisimple",
     "OutOfScopeDepth",
@@ -83,10 +82,6 @@ class VertexNotFound(PartalgError):
 
 class SizeMismatch(PartalgError):
     """Partition size does not match the group rank."""
-
-
-class DegenerateEigenvalues(PartalgError):
-    """Interpolation nodes collide (cannot happen for symmetric groups; asserted)."""
 
 
 class BadSubset(PartalgError):

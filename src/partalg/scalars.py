@@ -15,9 +15,9 @@ Polynomials are coefficient tuples indexed by degree.  A coefficient
 is an ``int`` when it is integral and a ``Fraction`` otherwise, and
 there are no trailing zeros; rational functions keep a monic
 denominator coprime to the numerator.  Both canonical forms are
-enforced on construction, so equality, hashing and the JSON and text
-forms are structural.  Every division divides by a ``Fraction``, so
-integer coefficients never turn into floats.
+enforced on construction, so equality, hashing and the text form are
+structural.  Every division divides by a ``Fraction``, so integer
+coefficients never turn into floats.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ __all__ = [
     "parse_parameter",
     "rational_str",
     "scalar_is_zero",
-    "scalar_to_json",
-    "scalar_from_json",
 ]
 
 
@@ -243,13 +241,6 @@ class Poly:
             a, b = b, a.divmod(b)[1]
         return a.monic()
 
-    def to_json(self) -> list[str]:
-        return [rational_str(c) for c in self.coeffs]
-
-    @staticmethod
-    def from_json(data) -> Poly:
-        return Poly(tuple(parse_rational(c) for c in data))
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -366,13 +357,6 @@ class RatFunc:
             raise DenominatorVanishes(f"pole at x = {rational_str(point)}")
         return self.num(point) / bottom
 
-    def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @staticmethod
-    def from_json(data) -> RatFunc:
-        return RatFunc(Poly.from_json(data["num"]), Poly.from_json(data["den"]))
-
     def __str__(self) -> str:
         if self.den == Poly.const(1):
             return str(self.num)
@@ -400,18 +384,3 @@ def scalar_is_zero(value: Scalar | int) -> bool:
         return value.is_zero()
     return value == 0
 
-
-def scalar_to_json(value: Scalar | int):
-    if isinstance(value, Poly):
-        return value.to_json()
-    if isinstance(value, RatFunc):
-        return value.to_json()
-    return rational_str(value)
-
-
-def scalar_from_json(data) -> Scalar:
-    if isinstance(data, list):
-        return Poly.from_json(data)
-    if isinstance(data, dict):
-        return RatFunc.from_json(data)
-    return parse_rational(data)

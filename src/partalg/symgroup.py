@@ -1,9 +1,12 @@
 """Symmetric group machinery inside the diagram tower.
 
 Permutations, the sum-of-transpositions central element, Young
-symmetrizers, and exact rational matrix units for the group algebra,
-built by interpolating the commuting family X_i = sum of (j i), j < i,
-at its integer content eigenvalues.
+symmetrizers, and exact rational matrix units for the group algebra.
+The diagonal units project onto the joint eigenspaces of the commuting
+family X_i = sum of (j i), j < i, at its integer content eigenvalues;
+the off-diagonal ones are read from Young's seminormal form, where an
+adjacent transposition acts on the units of two tableaux with
+coefficients given by their contents.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from itertools import chain, combinations, permutations, product
 from .algebra import AlgebraElement, Mode, diagram_element, multiply, one
 from .combinatorics import _validate, partitions_of
 from .diagrams import permutation_diagram
-from .errors import BadParams, DegenerateEigenvalues, SizeMismatch
+from .errors import BadParams, SizeMismatch
 from .limits import check
 
 __all__ = [
@@ -286,9 +289,18 @@ def sym_matrix_units(size: int, mode: Mode = None) -> MatrixUnitSystem:
     T' other than c_T(m), and E of the empty tableau the identity.  X_m
     is the sum of (j m) over j < m; it commutes with E_T' and acts on
     its image with one eigenvalue per addable box.  Every prefix unit
-    is built once, and each unit is scaled once.  Off-diagonal units
-    are conjugates through the first tableau of each shape, with the
-    left factor rescaled to make the products exact.
+    is built once, and each unit is scaled once.
+
+    Off-diagonal units follow Young's seminormal form.  A breadth-first
+    walk from the first tableau of each shape reaches every tableau T
+    from one S by a swap of i and i + 1, s_i = (i i+1).  With
+    r = c_T(i+1) - c_T(i), never 0 or +-1, E_T s_i E_T = E_T / r, so
+
+        E_{S,T} = (s_i E_T - E_T / r) * r^2 / (r^2 - 1),
+        E_{T,S} = E_T s_i - E_T / r,
+
+    multiply to E_S and E_T.  Units from and to the first tableau are
+    chained along the walk, and the rest are their products.
 
     >>> units = sym_matrix_units(2)
     >>> print(units.unit((2,), ((1, 2),), ((1, 2),)))
@@ -299,13 +311,12 @@ def sym_matrix_units(size: int, mode: Mode = None) -> MatrixUnitSystem:
     True
     """
     check("sym_matrix_units", 2 * size if type(size) is int else size)
-    shapes = [tuple(p) for p in partitions_of(size)]
-    tableaux = {shape: standard_tableaux_of(shape) for shape in shapes}
     # X_m, the sum of (j m) over j < m
     jm = [
         _transposition_sum(((j, m) for j in range(1, m)), size, mode)
         for m in range(1, size + 1)
     ]
+    swaps = [transposition(i, i + 1, size).to_element(mode) for i in range(1, size)]
     identity = one(2 * size, mode)
     grown: dict[tuple, AlgebraElement] = {(): identity}
 
@@ -326,59 +337,39 @@ def sym_matrix_units(size: int, mode: Mode = None) -> MatrixUnitSystem:
         return unit
 
     units: dict = {}
-    group = [Permutation(p) for p in permutations(range(1, size + 1))]
-    for shape in shapes:
-        tabs = tableaux[shape]
-        diag = {t: diagonal_unit(t) for t in tabs}
+    for shape in map(tuple, partitions_of(size)):
+        tabs = standard_tableaux_of(shape)
         base = tabs[0]
-        units[(shape, base, base)] = diag[base]
-        to_base: dict = {}
+        units[(shape, base, base)] = diagonal_unit(base)
+        walk, unseen = [base], set(tabs[1:])
+        # E_{base,T} and E_{T,base}
         from_base: dict = {}
-        for t in tabs[1:]:
-            units[(shape, t, t)] = diag[t]
-            candidates = [_tableau_map(t, base, size)] + group
-            for sigma in candidates:
-                u = multiply(multiply(diag[base], sigma.to_element(mode)), diag[t])
-                if u.is_zero():
+        to_base: dict = {}
+        for s in walk:
+            for i in range(1, size):
+                t = _swapped(s, i)
+                if t not in unseen:
                     continue
-                v = multiply(
-                    multiply(diag[t], sigma.inverse().to_element(mode)), diag[base]
-                )
-                uv = multiply(u, v)
-                if uv.is_zero():
-                    continue
-                gamma = _unit_ratio(uv, diag[base])
-                from_base[t] = u.scale(Fraction(1) / gamma)
-                to_base[t] = v
-                break
-            else:
-                raise DegenerateEigenvalues("no connecting group element found")
+                unseen.remove(t)
+                walk.append(t)
+                diag = units[(shape, t, t)] = diagonal_unit(t)
+                content = {v: j - k for k, row in enumerate(t) for j, v in enumerate(row)}
+                r = content[i + 1] - content[i]
+                tail = diag.scale(Fraction(1, r))
+                step_from = (multiply(swaps[i - 1], diag) - tail).scale(Fraction(r * r, r * r - 1))
+                step_to = multiply(diag, swaps[i - 1]) - tail
+                from_base[t] = step_from if s == base else multiply(from_base[s], step_from)
+                to_base[t] = step_to if s == base else multiply(step_to, to_base[s])
         for p in tabs[1:]:
             units[(shape, p, base)] = to_base[p]
             units[(shape, base, p)] = from_base[p]
-        for p in tabs[1:]:
             for q in tabs[1:]:
                 if p != q:
                     units[(shape, p, q)] = multiply(to_base[p], from_base[q])
     return MatrixUnitSystem(2 * size, mode, units)
 
 
-def _unit_ratio(multiple: AlgebraElement, unit: AlgebraElement) -> Fraction:
-    """The rational c with multiple = c * unit; both nonzero with
-    constant coefficients."""
-    d, coeff = next(iter(unit.terms.items()))
-    found = multiple.terms.get(d)
-    if found is None:
-        raise DegenerateEigenvalues("product is not a multiple of the unit")
-    ratio = _constant_value(found) / _constant_value(coeff)
-    if multiple != unit.scale(ratio):
-        raise DegenerateEigenvalues("product is not a multiple of the unit")
-    return ratio
-
-
-def _constant_value(coeff) -> Fraction:
-    from .scalars import Poly
-
-    if isinstance(coeff, Poly):
-        return coeff.const_value()
-    return Fraction(coeff)
+def _swapped(tableau, i: int):
+    """The tableau with the entries i and i + 1 exchanged."""
+    swap = {i: i + 1, i + 1: i}
+    return tuple(tuple(swap.get(v, v) for v in row) for row in tableau)

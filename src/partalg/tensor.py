@@ -72,7 +72,7 @@ class EndoMatrix:
             raise BadParams("rows must be sequences of entries") from exc
         if len(rows) != side or any(len(r) != side for r in rows):
             raise BadParams("matrix side must be n**slots")
-        if not all(isinstance(v, (int, Fraction)) for row in rows for v in row):
+        if not all(_is_int(v) or isinstance(v, Fraction) for row in rows for v in row):
             raise BadParams("entries must be ints or Fractions")
         # over the lcm of reduced denominators the rows are in lowest terms
         den = lcm(*(v.denominator for row in rows for v in row))
@@ -147,7 +147,7 @@ class EndoMatrix:
         )
 
     def scale(self, value: int | Fraction) -> EndoMatrix:
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        if not (_is_int(value) or isinstance(value, Fraction)):
             raise BadParams(f"scale by an int or a Fraction, not {value!r}")
         p = value.numerator
         return EndoMatrix._of(
@@ -199,6 +199,11 @@ class EndoMatrix:
 
     def __repr__(self) -> str:
         return f"<EndoMatrix n={self.n} slots={self.slots}>"
+
+
+def _is_int(value) -> bool:
+    """Whether value is an int; a bool is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _side(n: int, slots: int) -> int:
@@ -293,7 +298,7 @@ def sym_tensor_matrix(images, n: int, slots: int) -> EndoMatrix:
     """Diagonal permutation action: relabels every tensor slot."""
     _side(n, slots)
     try:
-        bijection = sorted(images) == list(range(1, n + 1))
+        bijection = all(map(_is_int, images)) and sorted(images) == list(range(1, n + 1))
     except TypeError:
         bijection = False
     if not bijection:
@@ -340,7 +345,7 @@ def restrict_last(b: EndoMatrix, value: int | None = None) -> EndoMatrix:
         raise BadParams("no tensor slot to restrict")
     if value is None:
         value = b.n
-    elif isinstance(value, bool) or not isinstance(value, int):
+    elif not _is_int(value):
         raise BadParams(f"pinned value must be an int, not {value!r}")
     pin = value - 1
     if not 0 <= pin < b.n:

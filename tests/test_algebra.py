@@ -1,7 +1,6 @@
 """Algebra-level behaviour: products, embeddings, orbit basis,
 conditional expectations, traces, specialization, the ideal."""
 
-import json
 import random
 from fractions import Fraction
 
@@ -341,21 +340,6 @@ def test_quotient_dimension():
         for j in range(2, perm_letters + 1):
             expect *= j
         assert gap == expect
-
-
-def test_json_round_trip_and_stability():
-    a = generator_element("p", 1, 2).scale(X) + one(2).scale(Fraction(1, 2))
-    data = a.to_json()
-    assert AlgebraElement.from_json(data) == a
-    assert json.dumps(data) == json.dumps(a.to_json())
-
-    rat = diagram_element(
-        identity_diagram(2), RatFunc(Poly.const(1), X + Poly.const(2))
-    )
-    assert AlgebraElement.from_json(rat.to_json()) == rat
-
-    s = one(4, mode=Fraction(5, 2)) + generator_element("e", 1, 4, mode=Fraction(5, 2))
-    assert AlgebraElement.from_json(s.to_json()) == s
 
 
 small_coeffs = st.integers(min_value=-3, max_value=3)

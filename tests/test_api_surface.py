@@ -1,10 +1,12 @@
 """The declared public surface resolves: every name in a module's
 __all__ exists, every console-script target in pyproject.toml imports,
-and no module keeps an import it neither uses nor re-exports."""
+no module keeps an import it neither uses nor re-exports, and no error
+class goes unused."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 try:
@@ -61,6 +63,16 @@ SOURCES = sorted(Path(partalg.__file__).parent.glob("*.py"))
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_top_level_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def test_every_error_class_is_named_outside_errors():
+    """Each domain error but the base class is named by another module
+    of the package, so no error class outlives its last raise."""
+    from partalg import errors
+
+    others = "\n".join(p.read_text() for p in SOURCES if p.name != "errors.py")
+    names = (name for name in errors.__all__ if name != "PartalgError")
+    assert [name for name in names if not re.search(rf"\b{name}\b", others)] == []
 
 
 def test_unused_import_guard_sees_an_orphan(tmp_path):

@@ -118,6 +118,9 @@ TENSOR_ARGUMENTS = {
     "restrict_last(m, True)": lambda: tensor.restrict_last(IDENTITY, True),
     "sym_tensor_matrix(None, 2, 2)": lambda: tensor.sym_tensor_matrix(None, 2, 2),
     'sym_tensor_matrix([1, "a"], 2, 2)': lambda: tensor.sym_tensor_matrix([1, "a"], 2, 2),
+    "sym_tensor_matrix([2.0, 1.0], 2, 1)": lambda: tensor.sym_tensor_matrix([2.0, 1.0], 2, 1),  # was the swap
+    "sym_tensor_matrix([True, 2], 2, 1)": lambda: tensor.sym_tensor_matrix([True, 2], 2, 1),  # was the identity
+    "EndoMatrix(1, 1, [[True]])": lambda: tensor.EndoMatrix(1, 1, [[True]]),  # rows were [[1]]
     'phi("x", 2)': lambda: tensor.phi("x", 2),
     'phi_orbit("x", 2)': lambda: tensor.phi_orbit("x", 2),
 }

@@ -194,6 +194,5 @@ def test_concrete_matches_abstract_for_large_n():
 
 def test_graph_exports():
     g = build_bratteli("abstract", 2)
-    data = g.to_json()
-    assert data["kind"] == "abstract"
-    assert data["levels"][2] == [[], [1]]
+    assert g.kind == "abstract"
+    assert g.levels[2] == ((), (1,))

@@ -128,9 +128,6 @@ PAST_CAP = {
         lambda: specht(2, (1,), TALL_INT),
         lambda: symmetrize(one(2), 2, TALL),
         lambda: specialize(one(2), TALL),
-        lambda: AlgebraElement.from_json(
-            {"double_rank": 2, "mode": {"n": str(TALL)}, "terms": []}
-        ),
     ],
 }
 

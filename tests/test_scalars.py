@@ -9,8 +9,6 @@ from partalg.scalars import (
     RatFunc,
     parse_rational,
     rational_str,
-    scalar_from_json,
-    scalar_to_json,
 )
 
 small_fractions = st.fractions(
@@ -107,13 +105,6 @@ def test_ratfunc_eval_matches_parts(a, b, p):
     assert f(p) == a(p) / den(p)
 
 
-def test_scalar_json_round_trip():
-    x = Poly.x()
-    for value in (Fraction(-5, 3), x**2 + Fraction(1, 2), RatFunc(x, x + 1)):
-        encoded = scalar_to_json(value)
-        assert scalar_from_json(encoded) == value
-
-
 def test_poly_stores_integral_coefficients_as_int():
     mixed = Poly((Fraction(2), Fraction(1, 2)))
     assert mixed.coeffs == (2, Fraction(1, 2))
@@ -123,7 +114,6 @@ def test_poly_stores_integral_coefficients_as_int():
     assert mixed == Poly((2, Fraction(1, 2)))
     assert hash(mixed) == hash(Poly((2, Fraction(1, 2))))
     assert hash(Poly.x()) == hash(Poly((Fraction(0), Fraction(1))))
-    assert mixed.to_json() == ["2", "1/2"]
     assert str(mixed) == "1/2*x + 2"
     assert type(mixed.leading()) is Fraction
     assert type(Poly((4,)).leading()) is Fraction
