@@ -25,7 +25,7 @@ LIMITS = {
     # and 3,720 at 12, which was not run
     "semisimple_verdict": 11,
     "matrix_units": 4,  # double rank; matrix_units(4, 5), 0.01 s
-    "basic_construction_iso": 5,  # double rank; at n = 1/2, 0.24 s
+    "basic_construction_iso": 5,  # double rank; at n = 1/2, 0.04 s
     # sampled quadruples of basic_construction_iso; at double rank 5
     # and n = -5/7, 50,000 of them take 6.0 s
     "basic_construction_quadruples": 50_000,
@@ -54,7 +54,6 @@ LIMITS = {
     # n**slots of phi, phi_orbit, sym_tensor_matrix, kappa_tensor_matrix
     # and the verify_murphy witnesses; kappa_tensor_matrix(81, 1), 1.4 s
     "tensor_side": 81,
-    "commutant_dims": 1_059_840,  # diagrams x side**2; (2, 8), 1.5 s
     "homomorphism_check": 41_209,  # pairs; exhaustive (2, 6), 3.5 s
     "homomorphism_check_entries": 3_280_500,  # pairs x side**2; (81, 2, 500), 4.7 s
     # height of a parameter n: bit lengths of numerator and denominator

@@ -550,13 +550,10 @@ def basic_construction_iso(
     eb = [embed(a, t) for a in hb]
     p_elem = generator_element("p", _p_index(t), t, point)
     p_diag = next(iter(p_elem.terms))
-    basis = _basis(t)
-    position = {d: i for i, d in enumerate(basis)}
-
+    # each product is one diagram times n**r, or zero, so the rank of
+    # their span is the number of distinct diagrams among their terms
     products = [[multiply(multiply(a, p_elem), b) for b in eb] for a in eb]
-    span_rank = matrix_rank(
-        [_coordinates(u, position) for row in products for u in row]
-    )
+    span_rank = len({d for row in products for u in row for d in u.terms})
     ideal = ideal_basis(t)
     expected = counting("bell", t) - factorial(t // 2)
 

@@ -11,6 +11,10 @@ blocks costs n**b steps rather than a test of every pair of labelings;
 orbit elements take the labellings with distinct labels.  A matrix is
 exact: int rows over one positive common denominator, in lowest terms,
 so equality compares ints and no operation does Fraction arithmetic.
+
+Ranks are counted, not eliminated: a labelling fixes which blocks share
+labels, so the orbit supports partition the matrix positions, and the
+rank of the span of the actions is the number of nonempty supports.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .combinatorics import build_bratteli, counting, syt_dimension
 from .diagrams import Diagram, columns, enumerate_diagrams
 from .errors import BadParams, PartalgError, RankMismatch
 from .limits import check
-from .linalg import rank as matrix_rank
 
 __all__ = [
     "EndoMatrix",
@@ -193,9 +196,6 @@ class EndoMatrix:
 
     def __hash__(self):
         return hash((self.n, self.slots, self.den, tuple(map(tuple, self.num))))
-
-    def flat(self) -> list[int | Fraction]:
-        return [v for row in self.rows for v in row]
 
     def __repr__(self) -> str:
         return f"<EndoMatrix n={self.n} slots={self.slots}>"
@@ -369,6 +369,8 @@ def homomorphism_check(
     Only the diagrams that occur in some pair get their action built."""
     check("enumerate_diagrams", double_rank)
     side = _side(n, double_rank // 2)
+    if not isinstance(seed, int):
+        raise BadParams(f"seed must be an int, not {seed!r}")
     count = counting("bell", double_rank) ** 2 if samples is None else samples
     check("homomorphism_check_entries", check("homomorphism_check", count) * side**2)
     basis = list(enumerate_diagrams(double_rank))
@@ -393,25 +395,28 @@ def homomorphism_check(
 def commutant_dims(n: int, double_rank: int) -> tuple[int, int, list[Diagram]]:
     """Rank of the span of the diagram actions, the kernel dimension,
     and the diagrams whose orbit elements span the kernel (those with
-    more than n blocks; each is checked to act by zero)."""
+    more than n blocks, whose supports are empty).  The orbit supports
+    are checked to partition the matrix positions, so the nonzero orbit
+    actions are independent and span what the diagram actions span.
+
+    >>> commutant_dims(2, 4)[:2]
+    (8, 7)
+    """
     check("enumerate_diagrams", double_rank)
     side = _side(n, double_rank // 2)
-    check("commutant_dims", counting("bell", double_rank) * side**2)
     basis = list(enumerate_diagrams(double_rank))
-    vectors = [phi(d, n).flat() for d in basis]
-    image_rank = matrix_rank(vectors)
-    kernel_dim = len(basis) - image_rank
-    witnesses = [d for d in basis if len(d.blocks) > n]
-    for d in witnesses:
-        if not phi_orbit(d, n).is_zero():
-            raise PartalgError("orbit element with many blocks acts nonzero")
-    return image_rank, kernel_dim, witnesses
+    supports = [_support(d, n, distinct=True) for d in basis]
+    if sorted(chain.from_iterable(supports)) != list(range(side * side)):
+        raise PartalgError("orbit supports do not partition the matrix positions")
+    witnesses = [d for d, support in zip(basis, supports) if not support]
+    return len(basis) - len(witnesses), len(witnesses), witnesses
 
 
 def bimodule_dimension_check(n: int, double_rank: int) -> dict:
     """Dimension bookkeeping for the joint symmetric-group/diagram
     action: weighted path counts against the tensor dimension and
     squared path counts against the image rank."""
+    check("tensor_side", n)  # V itself has side n, even at double rank 0 and 1
     image_rank, kernel_dim, _ = commutant_dims(n, double_rank)
     graph = build_bratteli("concrete", double_rank, n)
     level = graph.levels[double_rank]

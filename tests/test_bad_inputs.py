@@ -51,6 +51,9 @@ OUT_OF_DOMAIN = {
     "basic_construction_iso seed=[1]": lambda: structure.basic_construction_iso(
         2, 3, seed=[1]
     ),  # leaked TypeError from random.Random
+    "homomorphism_check seed=[1]": lambda: tensor.homomorphism_check(
+        2, 2, 3, seed=[1]
+    ),  # leaked TypeError from random.Random
     "kappa_tensor_matrix(0, 2)": lambda: murphy.kappa_tensor_matrix(0, 2),  # n = 0 matrix
     # leaked TypeError; p_tilde_s took the parity before any check
     "b_s(None, [1])": lambda: murphy.b_s(None, [1]),
@@ -226,6 +229,12 @@ ENTRIES = [
     _entry("EndoMatrix.scale", IDENTITY.scale, (3,), (0,)),
     _entry("restrict_last", lambda v: tensor.restrict_last(IDENTITY, v), (1,), (0,)),
     _entry("homomorphism_check", tensor.homomorphism_check, (2, 2, 4), (0, 1, 2)),
+    _entry(
+        "homomorphism_check_seed",
+        lambda s: tensor.homomorphism_check(2, 2, 3, seed=s),
+        (0,),
+        (0,),
+    ),
     _entry("commutant_dims", tensor.commutant_dims, (2, 2), (0, 1)),
     _entry("bimodule_dimension_check", tensor.bimodule_dimension_check, (2, 2), (0, 1)),
 ]

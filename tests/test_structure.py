@@ -244,9 +244,11 @@ def _bell(m: int) -> int:
     return row[0]
 
 
-@pytest.mark.parametrize("n", (3, Fraction(-5, 7)))
+@pytest.mark.parametrize("n", (3, Fraction(-5, 7), 0))
 def test_basic_construction_spans_the_ideal(n):
-    # the ideal is everything but the (dr//2)! permutation diagrams
+    # the ideal is everything but the (dr//2)! permutation diagrams; at
+    # n = 0 the products that remove components vanish, and the others
+    # still reach every ideal diagram
     for dr in range(2, 6):
         report = basic_construction_iso(dr, n, quadruples=10)
         expected = _bell(dr) - factorial(dr // 2)

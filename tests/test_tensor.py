@@ -24,7 +24,7 @@ from partalg.algebra import (
     trace,
 )
 from partalg.diagrams import Diagram, enumerate_diagrams, generator
-from partalg.errors import BadParams, LimitExceeded
+from partalg.errors import BadParams, LimitExceeded, PartalgError
 from partalg.linalg import rank as matrix_rank
 from partalg.tensor import (
     EndoMatrix,
@@ -47,6 +47,11 @@ def make_diagram(double_rank, blocks):
 
 def spec_elem(d, n):
     return specialize(diagram_element(d), Fraction(n))
+
+
+def flat(m):
+    """The entries of an EndoMatrix, row after row."""
+    return [v for row in m.rows for v in row]
 
 
 def test_phi_examples():
@@ -122,8 +127,8 @@ def test_phi_and_phi_orbit_match_block_label_oracle():
             labelings = vertex_labelings(dr, n)
             for d in diagrams:
                 action, orbit = block_label_oracle(d, labelings)
-                assert phi(d, n).flat() == action, (d, n)
-                assert phi_orbit(d, n).flat() == orbit, (d, n)
+                assert flat(phi(d, n)) == action, (d, n)
+                assert flat(phi_orbit(d, n)) == orbit, (d, n)
 
 
 def test_phi_of_element_is_sum_of_diagram_actions():
@@ -209,11 +214,81 @@ def test_commutant_dims_half_rank_matches_path_counts():
     assert len(witnesses) == 1
 
 
+def bell(m):
+    """Bell number by the Bell triangle."""
+    row = [1]
+    for _ in range(m):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[0]
+
+
+def stirling2(m, j):
+    """Stirling number of the second kind, by its recurrence."""
+    table = [[1] + [0] * j]
+    for i in range(1, m + 1):
+        prev = table[-1]
+        table.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, j + 1)])
+    return table[m][j]
+
+
+# the sizes the elimination once admitted: n**(dr // 2) <= 81 and
+# Bell(dr) * side**2 <= 1,059,840, with n <= 81 at double rank 0 and 1
+ELIMINATED_SIZES = {
+    dr: [
+        n
+        for n in range(1, 82)
+        if n ** (dr // 2) <= 81 and bell(dr) * n ** (2 * (dr // 2)) <= 1_059_840
+    ]
+    for dr in range(9)
+}
+
+
+@pytest.mark.parametrize("dr", ELIMINATED_SIZES)
+def test_counted_commutant_dims_match_elimination(dr):
+    basis = list(enumerate_diagrams(dr))
+    for n in ELIMINATED_SIZES[dr]:
+        image_rank = matrix_rank([flat(phi(d, n)) for d in basis])
+        counted, kernel_dim, witnesses = commutant_dims(n, dr)
+        assert (counted, kernel_dim) == (image_rank, len(basis) - image_rank), (n, dr)
+        assert witnesses == [d for d in basis if len(d.blocks) > n]
+
+
+def test_image_rank_counts_partitions_with_at_most_n_blocks():
+    # a half-rank diagram is a set partition of dr points once its
+    # pinned column is merged, so both kinds count partitions of dr
+    for dr in range(9):
+        for n in (1, 2, 3, 4, 9, 81):
+            if n ** (dr // 2) <= 81:
+                expected = sum(stirling2(dr, j) for j in range(n + 1))
+                assert commutant_dims(n, dr)[0] == expected, (n, dr)
+
+
+def test_commutant_dims_past_the_old_elimination_cap():
+    assert commutant_dims(3, 8)[:2] == (1094, 3046)
+    assert commutant_dims(4, 7)[:2] == (715, 162)
+    assert commutant_dims(3, 8)[0] == bimodule_dimension_check(3, 8)["squared_paths"]
+
+
+def test_overlapping_orbit_supports_are_refused(monkeypatch):
+    support = tensor._support
+
+    def repeated(d, n, distinct=False):
+        positions = support(d, n, distinct)
+        return positions + positions[:1]
+
+    monkeypatch.setattr(tensor, "_support", repeated)
+    with pytest.raises(PartalgError):
+        commutant_dims(2, 4)
+
+
 def test_low_block_orbit_matrices_independent():
     for n in (2, 3):
         for dr in (2, 3, 4):
             keep = [d for d in enumerate_diagrams(dr) if len(d.blocks) <= n]
-            vectors = [phi_orbit(d, n).flat() for d in keep]
+            vectors = [flat(phi_orbit(d, n)) for d in keep]
             assert matrix_rank(vectors) == len(keep)
 
 
