@@ -54,8 +54,9 @@ LIMITS = {
     # n**slots of phi, phi_orbit, sym_tensor_matrix, kappa_tensor_matrix
     # and the verify_murphy witnesses; kappa_tensor_matrix(81, 1), 1.4 s
     "tensor_side": 81,
-    "homomorphism_check": 41_209,  # pairs; exhaustive (2, 6), 3.5 s
-    "homomorphism_check_entries": 3_280_500,  # pairs x side**2; (81, 2, 500), 4.7 s
+    "homomorphism_check": 41_209,  # pairs; exhaustive (2, 6), 0.65-0.69 s
+    # pairs x side**2; (81, 2, 500) 1.50-1.52 s; (3, 8, 500) 0.24 s and 76 MB
+    "homomorphism_check_entries": 3_280_500,
     # height of a parameter n: bit lengths of numerator and denominator
     # added; gram(6, -3/61) with det 7.7-8.3 s, gram(6, 1/127) 8.0 s,
     # basic_construction_iso(5, -1/127) with 50,000 quadruples 7.0 s;

@@ -20,6 +20,7 @@ from .combinatorics import _validate, partitions_of
 from .diagrams import permutation_diagram
 from .errors import BadParams, SizeMismatch
 from .limits import check
+from .scalars import parse_rational
 
 __all__ = [
     "Permutation",
@@ -275,7 +276,6 @@ def _addable_contents(shape) -> list[int]:
     ]
 
 
-@lru_cache(maxsize=None)
 def sym_matrix_units(size: int, mode: Mode = None) -> MatrixUnitSystem:
     """Matrix units for the group algebra of S_size; partalg.limits caps 2 * size.
 
@@ -311,6 +311,11 @@ def sym_matrix_units(size: int, mode: Mode = None) -> MatrixUnitSystem:
     True
     """
     check("sym_matrix_units", 2 * size if type(size) is int else size)
+    return _sym_matrix_units(size, None if mode is None else parse_rational(mode))
+
+
+@lru_cache(maxsize=None)
+def _sym_matrix_units(size: int, mode: Mode) -> MatrixUnitSystem:
     # X_m, the sum of (j m) over j < m
     jm = [
         _transposition_sum(((j, m) for j in range(1, m)), size, mode)

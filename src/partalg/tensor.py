@@ -8,9 +8,12 @@ vector.  The nonzero entries are generated, not searched for: each
 labelling of the blocks lands at one flat position, the sum over blocks
 of label times the block's place weight, so a diagram with b free
 blocks costs n**b steps rather than a test of every pair of labelings;
-orbit elements take the labellings with distinct labels.  A matrix is
-exact: int rows over one positive common denominator, in lowest terms,
-so equality compares ints and no operation does Fraction arithmetic.
+orbit elements take the labellings with distinct labels.  Each support
+is built once per (diagram, n) and kept, as a tuple of positions, in
+one bounded cache; every public call checks its arguments before it
+reads the cache, and builds its own rows.  A matrix is exact: int rows
+over one positive common denominator, in lowest terms, so equality
+compares ints and no operation does Fraction arithmetic.
 
 Ranks are counted, not eliminated: a labelling fixes which blocks share
 labels, so the orbit supports partition the matrix positions, and the
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, permutations, product
 from math import gcd, lcm
 from operator import mul
@@ -215,13 +219,10 @@ def _side(n: int, slots: int) -> int:
     return check("tensor_side", n**slots)
 
 
-def _action_shape(double_rank: int, n: int):
-    slots = double_rank // 2
-    _side(n, slots)
-    return slots, columns(double_rank) if double_rank % 2 == 1 else None
-
-
-def _support(d: Diagram, n: int, distinct: bool = False) -> list[int]:
+# 1024 entries hold every diagram through double rank 7 (877 of them);
+# filled at double rank 8 by homomorphism_check(3, 8, 500), they held 7 MB
+@lru_cache(maxsize=1 << 10)
+def _support(d: Diagram, n: int, distinct: bool) -> tuple[int, ...]:
     """Flat positions row * side + col of the nonzero entries of the
     action of d, one per labelling of its blocks.
 
@@ -231,8 +232,12 @@ def _support(d: Diagram, n: int, distinct: bool = False) -> list[int]:
     label * weight over the blocks.  The block holding the pinned
     column always carries the last label, n - 1.  With ``distinct`` the
     labels are pairwise distinct, as for an orbit element.
+
+    Built once per (d, n, distinct) and shared, so the positions are an
+    immutable tuple; callers check d and n first.
     """
-    slots, pinned = _action_shape(d.double_rank, n)
+    slots = d.double_rank // 2
+    pinned = columns(d.double_rank) if d.double_rank % 2 == 1 else None
     side = n**slots
     base = 0
     weights = []
@@ -248,19 +253,30 @@ def _support(d: Diagram, n: int, distinct: bool = False) -> list[int]:
             weights.append(weight)
     if distinct:
         labels = permutations(range(n - 1 if pinned else n), len(weights))
-        return [base + sum(map(mul, choice, weights)) for choice in labels]
+        return tuple(base + sum(map(mul, choice, weights)) for choice in labels)
     # product(range(n), repeat=len(weights)), one block at a time
     positions = [base]
     for weight in weights:
         steps = range(0, n * weight, weight)
         positions = [p + step for p in positions for step in steps]
-    return positions
+    return tuple(positions)
 
 
 def phi(b: Diagram | AlgebraElement, n: int) -> EndoMatrix:
-    """Matrix of the diagram action; linear over specialized elements."""
+    """Matrix of the diagram action; linear over specialized elements.
+
+    The support of each diagram at n is built once and shared; every
+    call checks its arguments and returns fresh rows.
+
+    >>> d = Diagram(4, [[1, 2], [-1], [-2]])
+    >>> phi(d, 2).rows
+    [[1, 1, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 1, 1]]
+    >>> phi(d, 2).rows  # from the cached support
+    [[1, 1, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 1, 1]]
+    """
     if isinstance(b, AlgebraElement):
-        slots = _action_shape(b.double_rank, n)[0]
+        slots = b.double_rank // 2
+        _side(n, slots)
         if b.mode != n:
             raise BadParams("element must be specialized at the same n")
         # coefficients scaled to ints over the lcm of their denominators
@@ -268,17 +284,17 @@ def phi(b: Diagram | AlgebraElement, n: int) -> EndoMatrix:
         flat = [0] * n ** (2 * slots)
         for d, c in b.terms.items():
             c = c.numerator * (den // c.denominator)
-            for p in _support(d, n):
+            for p in _support(d, n, False):
                 flat[p] += c
         return EndoMatrix._of_flat(n, slots, flat, den)
-    return _indicator(_support(_checked_diagram(b), n), n, b.double_rank // 2)
+    return _indicator(_checked_diagram(b), n, False)
 
 
 def phi_orbit(d: Diagram, n: int) -> EndoMatrix:
     """Action of the orbit element of d: entry 1 only when the label
     pattern matches the blocks of d exactly (distinct labels on
     distinct blocks)."""
-    return _indicator(_support(_checked_diagram(d), n, distinct=True), n, d.double_rank // 2)
+    return _indicator(_checked_diagram(d), n, True)
 
 
 def _checked_diagram(d) -> Diagram:
@@ -287,9 +303,13 @@ def _checked_diagram(d) -> Diagram:
     return d
 
 
-def _indicator(support: list[int], n: int, slots: int) -> EndoMatrix:
+def _indicator(d: Diagram, n: int, distinct: bool) -> EndoMatrix:
+    """The 0/1 matrix on the support of d at n, after checking n and
+    the side."""
+    slots = d.double_rank // 2
+    _side(n, slots)
     flat = [0] * n ** (2 * slots)
-    for p in support:
+    for p in _support(d, n, distinct):
         flat[p] = 1
     return EndoMatrix._of_flat(n, slots, flat)
 
@@ -405,7 +425,7 @@ def commutant_dims(n: int, double_rank: int) -> tuple[int, int, list[Diagram]]:
     check("enumerate_diagrams", double_rank)
     side = _side(n, double_rank // 2)
     basis = list(enumerate_diagrams(double_rank))
-    supports = [_support(d, n, distinct=True) for d in basis]
+    supports = [_support(d, n, True) for d in basis]
     if sorted(chain.from_iterable(supports)) != list(range(side * side)):
         raise PartalgError("orbit supports do not partition the matrix positions")
     witnesses = [d for d, support in zip(basis, supports) if not support]

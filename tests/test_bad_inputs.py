@@ -166,6 +166,9 @@ def _bad_values(rng: random.Random) -> list:
         float("nan"),
         -rng.randint(1, 10**6),
         10 ** rng.randint(12, 40),
+        # unhashable and hashable containers; random.Random refuses both as seeds
+        [rng.randint(1, 5)],
+        (rng.randint(1, 5),),
     ]
 
 
@@ -222,7 +225,7 @@ ENTRIES = [
         (3, 4),
         (0, 1),
     ),
-    _entry("sym_matrix_units", symgroup.sym_matrix_units, (2,), (0,)),
+    _entry("sym_matrix_units", symgroup.sym_matrix_units, (2, 3), (0, 1)),
     _entry("phi", tensor.phi, (P1, 2), (0, 1)),
     _entry("phi_orbit", tensor.phi_orbit, (P1, 2), (0, 1)),
     _entry("sym_tensor_matrix", tensor.sym_tensor_matrix, ([2, 1], 2, 1), (0, 1, 2)),

@@ -267,5 +267,5 @@ def test_units_size_four_multiply_count(monkeypatch):
         return multiply(a, b)
 
     monkeypatch.setattr(symgroup, "multiply", counting)
-    sym_matrix_units.__wrapped__(4)
+    symgroup._sym_matrix_units.__wrapped__(4, None)
     assert len(calls) == 40

@@ -89,6 +89,32 @@ def test_phi_element_and_guards():
         phi(Diagram(14, [[i, -i] for i in range(1, 8)]), 2)
 
 
+def test_checks_run_before_the_support_cache():
+    d = Diagram(4, [[1, 2], [-1], [-2]])
+    phi(d, 3)
+    with pytest.raises(LimitExceeded):
+        phi(d, 82)
+    with pytest.raises(BadParams):
+        phi(spec_elem(d, 2), 3)
+    phi_orbit(d, 1)
+    with pytest.raises(BadParams):
+        phi_orbit(d, True)  # True == 1, so only the check tells them apart
+
+
+def test_cached_supports_are_not_shared_with_results():
+    d = Diagram(4, [[1, -1], [2], [-2]])
+    labelings = vertex_labelings(4, 2)
+    phi(d, 2).rows[0][0] = 7
+    phi_orbit(d, 2).rows[0][1] = 7
+    action, orbit = block_label_oracle(d, labelings)
+    assert flat(phi(d, 2)) == action
+    assert flat(phi_orbit(d, 2)) == orbit
+
+
+def test_support_cache_is_bounded():
+    assert tensor._support.cache_info().maxsize is not None
+
+
 def vertex_labelings(double_rank, n):
     """Every pair of top and bottom labelings, row-major, as a map from
     vertices to labels; vertices of the pinned column carry the last
