@@ -14,6 +14,7 @@ from math import comb, factorial
 from operator import index
 
 from .errors import BadParams, VertexNotFound
+from .limits import _nonnegative
 
 __all__ = [
     "Partition",
@@ -34,8 +35,7 @@ Partition = tuple[int, ...]
 
 def counting(kind: str, m: int) -> int:
     """Exact values of the four counting sequences."""
-    if m < 0:
-        raise BadParams("negative argument")
+    _nonnegative("counting", m)
     if kind == "bell":
         # Bell triangle: each row starts with the previous row's last entry
         row = [1]
@@ -74,8 +74,7 @@ def _validate(lam) -> Partition:
 
 def partitions_of(m: int) -> list[Partition]:
     """All partitions of m, descending lexicographic order."""
-    if m < 0:
-        raise BadParams("negative size")
+    _nonnegative("partitions_of", m)
     out: list[Partition] = []
 
     def grow(prefix: list[int], remaining: int, cap: int) -> None:
@@ -126,7 +125,7 @@ def attach_first_row(mu, n: int) -> Partition:
     """Inverse of strip_first_row at total size n; defined only when the
     new first row n - |mu| is at least mu_1."""
     parts = _validate(mu)
-    first = n - sum(parts)
+    first = _nonnegative("attach_first_row", n) - sum(parts)
     if parts and first < parts[0]:
         raise BadParams(f"cannot put first row {first} above {parts}")
     if first < 0:
@@ -178,14 +177,12 @@ class BratteliGraph:
         self._paths: dict[tuple[int, int], tuple] = {}
 
     def vertex_index(self, double_level: int, vertex) -> int:
-        if not 0 <= double_level < len(self.levels):
+        if not _nonnegative("vertex_index", double_level) < len(self.levels):
             raise VertexNotFound(f"no level {double_level}/2")
         try:
             return self.levels[double_level].index(tuple(vertex))
-        except ValueError:
-            raise VertexNotFound(
-                f"{tuple(vertex)} not at level {double_level}/2"
-            ) from None
+        except (TypeError, ValueError):
+            raise VertexNotFound(f"{vertex!r} not at level {double_level}/2") from None
 
     def paths(self, double_level: int, vertex) -> tuple:
         """All root-to-vertex walks, as tuples of partitions."""
@@ -221,12 +218,11 @@ def build_bratteli(kind: str, double_rank: int, n: int | None = None) -> Brattel
     partition or remove/add a box depending on direction; concrete
     edges always remove (down to a half level) or add (up from one).
     """
-    if double_rank < 0:
-        raise BadParams("negative rank")
+    _nonnegative("build_bratteli", double_rank)
     if kind == "abstract":
         root: Partition = ()
     elif kind == "concrete":
-        if n is None or n < 1:
+        if n is None or _nonnegative("build_bratteli", n) < 1:
             raise BadParams("concrete graph needs n >= 1")
         root = (n,)
     else:

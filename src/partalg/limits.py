@@ -48,9 +48,10 @@ LIMITS = {
     # sum of the witnesses' n; verify_murphy(6, [4] * 12 + [2]) 8.0 s,
     # verify_murphy(3, [50]) 5.1 s
     "verify_murphy_witnesses": 50,
-    # double rank 2 * size; sym_matrix_units(5) generic 0.37-0.48 s, at
-    # n = 3, -3/61 and 1/127 0.21-0.32 s; (6, 3) did not finish in 130 s
-    "sym_matrix_units": 10,
+    # double rank 2 * size; at n = x, 3, -3/61 and 1/127, size 5 0.02-0.03 s,
+    # size 6 0.7-0.9 s and 50 MB; size 7 holds 5040**2 terms, not run
+    "sym_matrix_units": 12,
+    "kappa": 100,  # n of S_n; kappa(100) 1.3 s and 78 MB, kappa(200) 7.8 s
     # n**slots of phi, phi_orbit, sym_tensor_matrix, kappa_tensor_matrix
     # and the verify_murphy witnesses; kappa_tensor_matrix(81, 1), 1.4 s
     "tensor_side": 81,

@@ -2,11 +2,11 @@
 
 Permutations, the sum-of-transpositions central element, Young
 symmetrizers, and exact rational matrix units for the group algebra.
-The diagonal units project onto the joint eigenspaces of the commuting
-family X_i = sum of (j i), j < i, at its integer content eigenvalues;
-the off-diagonal ones are read from Young's seminormal form, where an
-adjacent transposition acts on the units of two tableaux with
-coefficients given by their contents.
+The units come from Young's seminormal representation of each shape
+alone: adjacent transpositions act on the standard tableaux by matrices
+read from contents, a walk of the group gives every permutation's
+matrix, and Fourier inversion turns the entries into units (Okounkov
+and Vershik, Selecta Math. 2 (1996)).
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
+from math import factorial, gcd, lcm
 
-from .algebra import AlgebraElement, Mode, diagram_element, multiply, one
+from .algebra import AlgebraElement, Mode, _norm_coeff, diagram_element, multiply
 from .combinatorics import _validate, partitions_of
 from .diagrams import permutation_diagram
 from .errors import BadParams, SizeMismatch
-from .limits import check
+from .limits import _nonnegative, check
 from .scalars import parse_rational
 
 __all__ = [
@@ -41,7 +42,9 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(v) for v in images)
+        images = tuple(images)
+        if any(type(v) is not int for v in images):
+            raise BadParams("images are not ints")
         if sorted(images) != list(range(1, len(images) + 1)):
             raise SizeMismatch("images are not a bijection of 1..size")
         self.images = images
@@ -88,7 +91,7 @@ class Permutation:
 
     def to_element(self, mode: Mode = None) -> AlgebraElement:
         return diagram_element(
-            permutation_diagram(self.images, 2 * self.size), mode=mode
+            permutation_diagram(self.images, 2 * self.size), mode=_read_mode(mode)
         )
 
     def __eq__(self, other) -> bool:
@@ -101,58 +104,57 @@ class Permutation:
         return f"Permutation({list(self.images)})"
 
     @staticmethod
-    def identity(size: int) -> Permutation:
-        return Permutation(range(1, size + 1))
-
-    @staticmethod
     def from_cycles(size: int, cycles) -> Permutation:
-        images = list(range(1, size + 1))
-        for cycle in cycles:
+        images = list(range(1, _nonnegative("from_cycles", size) + 1))
+        for cycle in map(tuple, cycles):
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                images[a - 1] = b
+                images[_point(a, size) - 1] = b
         return Permutation(images)
 
 
+def _point(v, size: int) -> int:
+    """v if it is an int (a bool is not) in 1..size, else BadParams."""
+    if type(v) is not int or not 1 <= v <= size:
+        raise BadParams(f"{v!r} is not a point of 1..{size}")
+    return v
+
+
+def _read_mode(mode) -> Mode:
+    """None for the generic parameter, else mode as a Fraction."""
+    return None if mode is None else parse_rational(mode)
+
+
 def transposition(a: int, b: int, size: int) -> Permutation:
-    images = list(range(1, size + 1))
+    images = list(range(1, _nonnegative("transposition", size) + 1))
+    if _point(a, size) == _point(b, size):
+        raise BadParams(f"({a} {b}) is not a transposition")
     images[a - 1], images[b - 1] = b, a
     return Permutation(images)
 
 
 def kappa(n: int, mode: Mode = None) -> AlgebraElement:
     """Sum of all transpositions of S_n; central in the group algebra."""
-    return _transposition_sum(combinations(range(1, n + 1), 2), n, mode)
-
-
-def _transposition_sum(pairs, size: int, mode: Mode) -> AlgebraElement:
-    """Sum of the transpositions (a b) of S_size over the pairs (a, b)."""
-    perms = (transposition(a, b, size).images for a, b in pairs)
-    terms = ((permutation_diagram(w, 2 * size), 1) for w in perms)
-    return AlgebraElement(2 * size, terms, mode)
+    pairs = combinations(range(1, check("kappa", n) + 1), 2)
+    mode = _read_mode(mode)
+    terms = ((permutation_diagram(transposition(a, b, n).images, 2 * n), 1) for a, b in pairs)
+    return AlgebraElement(2 * n, terms, mode)
 
 
 def standard_tableaux_of(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    """Standard fillings of the shape, as row tuples, sorted."""
+    """Standard fillings of the shape, as row tuples, sorted; BadParams
+    unless the shape is a partition."""
+    shape = _validate(shape)
     size = sum(shape)
 
     def grow(rows: tuple[tuple[int, ...], ...], value: int):
         if value > size:
             yield rows
             return
-        for r in range(len(shape)):
-            filled = len(rows[r]) if r < len(rows) else 0
-            if r == 0:
-                above = shape[0]
-            else:
-                above = len(rows[r - 1]) if r - 1 < len(rows) else 0
-            if filled < shape[r] and filled < above:
-                grown = list(rows)
-                while len(grown) <= r:
-                    grown.append(())
-                grown[r] = grown[r] + (value,)
-                yield from grow(tuple(grown), value + 1)
+        for r, length in enumerate(shape):
+            if len(rows[r]) < length and (r == 0 or len(rows[r]) < len(rows[r - 1])):
+                yield from grow(rows[:r] + (rows[r] + (value,),) + rows[r + 1 :], value + 1)
 
-    return sorted(grow((), 1))
+    return sorted(grow(tuple(() for _ in shape), 1))
 
 
 def row_reading_tableau(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -172,15 +174,6 @@ def column_reading_tableau(shape: tuple[int, ...]) -> tuple[tuple[int, ...], ...
                 rows[i][j] = next_value
                 next_value += 1
     return tuple(tuple(r) for r in rows)
-
-
-def _tableau_map(src, dst, size: int) -> Permutation:
-    """The permutation carrying tableau src entrywise to dst."""
-    images = [0] * size
-    for s_row, d_row in zip(src, dst):
-        for s, d in zip(s_row, d_row):
-            images[s - 1] = d
-    return Permutation(images)
 
 
 def _subgroup_sum(shape: tuple[int, ...], size: int, signed: bool, mode: Mode) -> AlgebraElement:
@@ -218,7 +211,11 @@ def reading_word_permutation(shape, size: int) -> Permutation:
     """The permutation carrying the row reading tableau entrywise to
     the column reading tableau."""
     shape = _checked_shape(shape, size)
-    return _tableau_map(row_reading_tableau(shape), column_reading_tableau(shape), size)
+    images = [0] * size
+    for s_row, d_row in zip(row_reading_tableau(shape), column_reading_tableau(shape)):
+        for s, d in zip(s_row, d_row):
+            images[s - 1] = d
+    return Permutation(images)
 
 
 def young_elements(shape, size: int, mode: Mode = None):
@@ -228,6 +225,7 @@ def young_elements(shape, size: int, mode: Mode = None):
     Returns (row_part, signed_part, tau, product) where the product is
     row_part * tau * signed_part * tau^{-1}.
     """
+    mode = _read_mode(mode)
     shape = _checked_shape(shape, size)
     row_part = _subgroup_sum(shape, size, signed=False, mode=mode)
     signed_part = _subgroup_sum(_conjugate(shape), size, signed=True, mode=mode)
@@ -256,7 +254,10 @@ class MatrixUnitSystem:
         self.units = units
 
     def unit(self, shape, p, q) -> AlgebraElement:
-        return self.units[(tuple(shape), p, q)]
+        try:
+            return self.units[(tuple(shape), p, q)]
+        except (KeyError, TypeError):
+            raise BadParams(f"no unit ({shape!r}, {p!r}, {q!r})") from None
 
     def diagonal_index(self) -> list[tuple]:
         return [key for key in self.index if key[1] == key[2]]
@@ -266,42 +267,47 @@ class MatrixUnitSystem:
         return AlgebraElement(self.double_rank, chain.from_iterable(diagonal), self.mode)
 
 
-def _addable_contents(shape) -> list[int]:
-    """Contents j - i of the boxes (i, j) that can be added to the shape."""
-    lengths = list(shape) + [0]
-    return [
-        length - i
-        for i, length in enumerate(lengths)
-        if i == 0 or lengths[i - 1] > length
-    ]
+def _seminormal(shape, i: int) -> list[list[Fraction]]:
+    """Young's seminormal matrix of s_i = (i i+1) on the standard
+    tableaux of the shape, in sorted order.
+
+    The column of tableau T holds 1/r on the diagonal, with
+    r = c_T(i+1) - c_T(i) the difference of the contents: 1 when i and
+    i + 1 share a row of T, and -1 when they share a column.  Otherwise
+    |r| > 1, and the row of T with i and i + 1 exchanged holds 1 when
+    i + 1 sits in a lower row of T than i (r < 0), else 1 - 1/r^2.
+
+    >>> [[str(v) for v in row] for row in _seminormal((2, 1), 2)]
+    [['-1/2', '3/4'], ['1', '1/2']]
+    """
+    tabs = standard_tableaux_of(shape)
+    out = [[Fraction(0)] * len(tabs) for _ in tabs]
+    for a, t in enumerate(tabs):
+        content = {v: j - k for k, row in enumerate(t) for j, v in enumerate(row)}
+        r = content[i + 1] - content[i]
+        out[a][a] = Fraction(1, r)
+        if abs(r) > 1:
+            out[tabs.index(_swapped(t, i))][a] = Fraction(1) if r < 0 else 1 - Fraction(1, r * r)
+    return out
 
 
 def sym_matrix_units(size: int, mode: Mode = None) -> MatrixUnitSystem:
     """Matrix units for the group algebra of S_size; partalg.limits caps 2 * size.
 
-    Diagonal units grow along the branching tree (Okounkov-Vershik).
-    With m the largest entry of the tableau T, T' the tableau T
-    without m, and c_T(m) the content of m's box,
+    Every unit is read from Young's seminormal representation rho of
+    its shape lam by Fourier inversion: with P and Q the a-th and b-th
+    standard tableaux of lam and f its number of tableaux,
 
-        E_T = E_T' * prod (X_m - c) / (c_T(m) - c),
+        E_{P,Q} = (f / size!) * sum over g of rho(g)[b][a] * g.
 
-    c running over the contents of the addable boxes of the shape of
-    T' other than c_T(m), and E of the empty tableau the identity.  X_m
-    is the sum of (j m) over j < m; it commutes with E_T' and acts on
-    its image with one eigenvalue per addable box.  Every prefix unit
-    is built once, and each unit is scaled once.
+    rho(g) is found for every g by a breadth-first walk from the
+    identity, rho(s_i w) = S_i rho(w), with S_i the seminormal matrix
+    of s_i = (i i+1) (see _seminormal).  The diagonal units are the
+    Okounkov-Vershik idempotents: X_m = sum of (j m) over j < m acts on
+    E_{T,T} as c_T(m), the content of m's box.  No algebra product is
+    taken.
 
-    Off-diagonal units follow Young's seminormal form.  A breadth-first
-    walk from the first tableau of each shape reaches every tableau T
-    from one S by a swap of i and i + 1, s_i = (i i+1).  With
-    r = c_T(i+1) - c_T(i), never 0 or +-1, E_T s_i E_T = E_T / r, so
-
-        E_{S,T} = (s_i E_T - E_T / r) * r^2 / (r^2 - 1),
-        E_{T,S} = E_T s_i - E_T / r,
-
-    multiply to E_S and E_T.  Units from and to the first tableau are
-    chained along the walk, and the rest are their products.
-
+    >>> from partalg.algebra import one
     >>> units = sym_matrix_units(2)
     >>> print(units.unit((2,), ((1, 2),), ((1, 2),)))
     (1/2)*{{1,-2},{-1,2}} + (1/2)*{{1,-1},{2,-2}}
@@ -311,67 +317,57 @@ def sym_matrix_units(size: int, mode: Mode = None) -> MatrixUnitSystem:
     True
     """
     check("sym_matrix_units", 2 * size if type(size) is int else size)
-    return _sym_matrix_units(size, None if mode is None else parse_rational(mode))
+    return _sym_matrix_units(size, _read_mode(mode))
 
 
 @lru_cache(maxsize=None)
 def _sym_matrix_units(size: int, mode: Mode) -> MatrixUnitSystem:
-    # X_m, the sum of (j m) over j < m
-    jm = [
-        _transposition_sum(((j, m) for j in range(1, m)), size, mode)
-        for m in range(1, size + 1)
-    ]
-    swaps = [transposition(i, i + 1, size).to_element(mode) for i in range(1, size)]
-    identity = one(2 * size, mode)
-    grown: dict[tuple, AlgebraElement] = {(): identity}
-
-    def diagonal_unit(tableau) -> AlgebraElement:
-        unit = grown.get(tableau)
-        if unit is not None:
-            return unit
-        m = sum(map(len, tableau))
-        row = next(i for i, r in enumerate(tableau) if r[-1] == m)
-        prefix = tuple(r[:-1] if i == row else r for i, r in enumerate(tableau) if r != (m,))
-        target = len(tableau[row]) - 1 - row
-        unit, ratio = diagonal_unit(prefix), 1
-        for c in _addable_contents(map(len, prefix)):
-            if c != target:
-                unit = multiply(unit, jm[m - 1] - identity.scale(c))
-                ratio *= target - c
-        grown[tableau] = unit = unit.scale(Fraction(1, ratio))
-        return unit
+    shapes = [tuple(shape) for shape in partitions_of(size)]
+    tableaux = [standard_tableaux_of(shape) for shape in shapes]
+    generators = [[_integral(_seminormal(shape, i)) for shape in shapes] for i in range(1, size)]
+    # rho(g) of each shape, g a map of 0..size-1, and rho(s_i w) = S_i rho(w)
+    start = tuple(range(size))
+    rho = {start: [(1, [[int(a == b) for b in tabs] for a in tabs]) for tabs in tableaux]}
+    walk = [start]
+    for w in walk:
+        for i, sparse in enumerate(generators):
+            g = tuple(i + 1 if v == i else i if v == i + 1 else v for v in w)
+            if g not in rho:
+                rho[g] = [_product(s, m) for s, m in zip(sparse, rho[w])]
+                walk.append(g)
+    diagrams = [permutation_diagram([v + 1 for v in g], 2 * size) for g in walk]
+    order = factorial(size)
+    # the coefficients take few values: each is read into the mode's kind once
+    coefficient = lru_cache(maxsize=None)(lambda num, den: _norm_coeff(Fraction(num, den), mode))
 
     units: dict = {}
-    for shape in map(tuple, partitions_of(size)):
-        tabs = standard_tableaux_of(shape)
-        base = tabs[0]
-        units[(shape, base, base)] = diagonal_unit(base)
-        walk, unseen = [base], set(tabs[1:])
-        # E_{base,T} and E_{T,base}
-        from_base: dict = {}
-        to_base: dict = {}
-        for s in walk:
-            for i in range(1, size):
-                t = _swapped(s, i)
-                if t not in unseen:
-                    continue
-                unseen.remove(t)
-                walk.append(t)
-                diag = units[(shape, t, t)] = diagonal_unit(t)
-                content = {v: j - k for k, row in enumerate(t) for j, v in enumerate(row)}
-                r = content[i + 1] - content[i]
-                tail = diag.scale(Fraction(1, r))
-                step_from = (multiply(swaps[i - 1], diag) - tail).scale(Fraction(r * r, r * r - 1))
-                step_to = multiply(diag, swaps[i - 1]) - tail
-                from_base[t] = step_from if s == base else multiply(from_base[s], step_from)
-                to_base[t] = step_to if s == base else multiply(step_to, to_base[s])
-        for p in tabs[1:]:
-            units[(shape, p, base)] = to_base[p]
-            units[(shape, base, p)] = from_base[p]
-            for q in tabs[1:]:
-                if p != q:
-                    units[(shape, p, q)] = multiply(to_base[p], from_base[q])
+    for k, (shape, tabs) in enumerate(zip(shapes, tableaux)):
+        matrices = [rho[g][k] for g in walk]
+        for a, p in enumerate(tabs):
+            for b, q in enumerate(tabs):
+                terms = (
+                    (d, coefficient(len(tabs) * rows[b][a], order * den))
+                    for d, (den, rows) in zip(diagrams, matrices)
+                    if rows[b][a]
+                )
+                units[(shape, p, q)] = AlgebraElement(2 * size, terms, mode)
     return MatrixUnitSystem(2 * size, mode, units)
+
+
+def _integral(matrix) -> tuple[int, list]:
+    """(den, rows): den the common denominator of the rational matrix, a
+    row the (column, den * entry) pairs of its nonzero entries."""
+    den = lcm(*(v.denominator for row in matrix for v in row))
+    return den, [[(c, int(v * den)) for c, v in enumerate(row) if v] for row in matrix]
+
+
+def _product(s, m) -> tuple[int, list]:
+    """S M for S in the form of _integral and M as (den, int rows),
+    returned as (den, int rows) in lowest terms."""
+    (s_den, s_rows), (den, rows) = s, m
+    out = [[sum(v * rows[c][j] for c, v in row) for j in range(len(rows))] for row in s_rows]
+    g = gcd(s_den * den, *chain.from_iterable(out))
+    return s_den * den // g, [[x // g for x in row] for row in out]
 
 
 def _swapped(tableau, i: int):

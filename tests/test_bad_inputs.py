@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from partalg import diagrams, murphy, structure, symgroup, tensor
+from partalg import combinatorics, diagrams, murphy, structure, symgroup, tensor
 from partalg.algebra import diagram_element, one
 from partalg.combinatorics import syt_dimension
 from partalg.diagrams import Diagram, enumerate_diagrams
@@ -135,6 +135,50 @@ def test_tensor_arguments_that_cannot_be_read(call):
         call()
 
 
+SYMGROUP_ARGUMENTS = {
+    # each leaked another exception or answered for another input
+    "transposition(1, 3, 2)": lambda: symgroup.transposition(1, 3, 2),  # IndexError
+    "transposition(1, 1, 2)": lambda: symgroup.transposition(1, 1, 2),  # was the identity
+    "kappa(-1)": lambda: symgroup.kappa(-1),  # was an element of rank -1
+    'kappa("a")': lambda: symgroup.kappa("a"),  # TypeError
+    'Permutation("ab")': lambda: symgroup.Permutation("ab"),  # ValueError
+    "Permutation([1.5])": lambda: symgroup.Permutation([1.5]),  # was [1]
+    "from_cycles(2, [(1, 3)])": lambda: symgroup.Permutation.from_cycles(2, [(1, 3)]),  # IndexError
+    'standard_tableaux_of("ab")': lambda: symgroup.standard_tableaux_of("ab"),  # TypeError
+    "standard_tableaux_of((1, 2))": lambda: symgroup.standard_tableaux_of((1, 2)),  # was accepted
+    "standard_tableaux_of((2, 0))": lambda: symgroup.standard_tableaux_of((2, 0)),  # was accepted
+    "unit of a missing key": lambda: symgroup.sym_matrix_units(2).unit(
+        (2,), ((1,), (2,)), ((1,), (2,))
+    ),  # KeyError
+    'young_elements((2, 1), 3, "x")': lambda: symgroup.young_elements((2, 1), 3, "x"),  # AttributeError
+}
+
+
+@pytest.mark.parametrize("call", SYMGROUP_ARGUMENTS.values(), ids=SYMGROUP_ARGUMENTS.keys())
+def test_symgroup_arguments_that_cannot_be_read(call):
+    with pytest.raises(BadParams):
+        call()
+
+
+COMBINATORICS_ARGUMENTS = {
+    # each leaked TypeError
+    'counting("bell", "x")': lambda: combinatorics.counting("bell", "x"),
+    'partitions_of("x")': lambda: combinatorics.partitions_of("x"),
+    'build_bratteli("abstract", "x")': lambda: combinatorics.build_bratteli("abstract", "x"),
+    'build_bratteli("concrete", 3, "x")': lambda: combinatorics.build_bratteli("concrete", 3, "x"),
+    'paths("x", ())': lambda: combinatorics.build_bratteli("abstract", 2).paths("x", ()),
+    'attach_first_row((1,), "x")': lambda: combinatorics.attach_first_row((1,), "x"),
+}
+
+
+@pytest.mark.parametrize(
+    "call", COMBINATORICS_ARGUMENTS.values(), ids=COMBINATORICS_ARGUMENTS.keys()
+)
+def test_combinatorics_arguments_that_cannot_be_read(call):
+    with pytest.raises(BadParams):
+        call()
+
+
 def test_enumerate_checks_at_the_call():
     with pytest.raises(BadParams):
         enumerate_diagrams(-2)
@@ -226,6 +270,7 @@ ENTRIES = [
         (0, 1),
     ),
     _entry("sym_matrix_units", symgroup.sym_matrix_units, (2, 3), (0, 1)),
+    _entry("kappa", symgroup.kappa, (3, 3), (0, 1)),
     _entry("phi", tensor.phi, (P1, 2), (0, 1)),
     _entry("phi_orbit", tensor.phi_orbit, (P1, 2), (0, 1)),
     _entry("sym_tensor_matrix", tensor.sym_tensor_matrix, ([2, 1], 2, 1), (0, 1, 2)),

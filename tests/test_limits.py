@@ -35,7 +35,7 @@ from partalg.structure import (
     specht,
     symmetrize,
 )
-from partalg.symgroup import sym_matrix_units
+from partalg.symgroup import kappa, sym_matrix_units
 from partalg.tensor import (
     bimodule_dimension_check,
     homomorphism_check,
@@ -99,6 +99,7 @@ PAST_CAP = {
     ],
     # the unit is the double rank 2 * size, so the next job is size + 1
     "sym_matrix_units": [lambda: sym_matrix_units(CAP["sym_matrix_units"] // 2 + 1)],
+    "kappa": [lambda: kappa(CAP["kappa"] + 1)],
     "tensor_side": [
         lambda: phi(P1, SIDE),
         lambda: phi_orbit(P1, SIDE),
@@ -151,7 +152,7 @@ def test_one_past_the_cap_raises_before_allocating(name):
 
 def test_jobs_over_the_time_budget_are_refused():
     with pytest.raises(LimitExceeded):
-        sym_matrix_units(6)
+        sym_matrix_units(7)
     with pytest.raises(LimitExceeded):
         homomorphism_check(2, 7)
     with pytest.raises(LimitExceeded):

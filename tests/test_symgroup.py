@@ -9,7 +9,7 @@ import pytest
 from partalg import symgroup
 from partalg.algebra import diagram_element, multiply, one, zero
 from partalg.combinatorics import partitions_of, syt_dimension
-from partalg.diagrams import generator, make_diagram
+from partalg.diagrams import generator, identity_diagram, make_diagram
 from partalg.errors import SizeMismatch
 from partalg.symgroup import (
     Permutation,
@@ -251,15 +251,8 @@ def test_units_size_five_chain_through_the_first_tableau(mode):
 
 
 def test_units_size_four_multiply_count(monkeypatch):
-    """The diagonal units grow along the branching tree, one product
-    per addable box other than the tableau's own at each step: 22
-    products for the 10 tableaux of size 4 and their prefixes.  The
-    off-diagonal units take 18: two per seminormal step for the 5
-    tableaux that are not first in their shape, two more to chain each
-    of the 2 steps that do not start at the first tableau, and one for
-    each of the 4 units between two tableaux that are not first.
-    Interpolating every X_i over every content took 147 products in
-    all, and searching S_4 for connecting elements 69."""
+    """Every unit is read from the seminormal matrices by Fourier
+    inversion, so building them takes no algebra product."""
     calls = []
 
     def counting(a, b):
@@ -268,4 +261,119 @@ def test_units_size_four_multiply_count(monkeypatch):
 
     monkeypatch.setattr(symgroup, "multiply", counting)
     symgroup._sym_matrix_units.__wrapped__(4, None)
-    assert len(calls) == 40
+    assert len(calls) == 0
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col) if x) for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("size", range(2, 7))
+def test_seminormal_generators_obey_the_coxeter_relations(size):
+    """s_i^2 = 1, s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1} and s_i s_j =
+    s_j s_i for |i - j| > 1, on every shape of the size."""
+    for shape in map(tuple, partitions_of(size)):
+        s = {i: symgroup._seminormal(shape, i) for i in range(1, size)}
+        eye = _matmul(s[1], s[1])
+        assert eye == [[int(a == b) for b in range(len(eye))] for a in range(len(eye))]
+        for i in range(1, size):
+            assert _matmul(s[i], s[i]) == eye
+            for j in range(i + 1, size):
+                if j == i + 1:
+                    lhs = _matmul(_matmul(s[i], s[j]), s[i])
+                    rhs = _matmul(_matmul(s[j], s[i]), s[j])
+                else:
+                    lhs, rhs = _matmul(s[i], s[j]), _matmul(s[j], s[i])
+                assert lhs == rhs
+
+
+def _chained_units(size, mode):
+    """Matrix units of S_size by products, independent of the seminormal
+    matrices.  With m the largest entry of the tableau T, T' the tableau
+    T without m, and X_m the sum of (j m) over j < m,
+
+        E_T = E_T' * prod (X_m - c) / (c_T(m) - c),
+
+    c running over the contents of the addable boxes of the shape of T'
+    other than c_T(m).  A breadth-first walk from the first tableau of
+    each shape reaches each T from one S by swapping i and i + 1; with
+    s_i = (i i+1) and r = c_T(i+1) - c_T(i),
+
+        E_{S,T} = (s_i E_T - E_T / r) * r^2 / (r^2 - 1),
+        E_{T,S} = E_T s_i - E_T / r.
+
+    Units from and to the first tableau are chained along the walk, and
+    the rest are their products."""
+    jm = [
+        sum(
+            (transposition(j, m, size).to_element(mode) for j in range(1, m)),
+            zero(2 * size, mode),
+        )
+        for m in range(1, size + 1)
+    ]
+    swaps = [transposition(i, i + 1, size).to_element(mode) for i in range(1, size)]
+    identity = one(2 * size, mode)
+    grown = {(): identity}
+
+    def diagonal_unit(tableau):
+        if tableau in grown:
+            return grown[tableau]
+        m = sum(map(len, tableau))
+        row = next(i for i, r in enumerate(tableau) if r[-1] == m)
+        prefix = tuple(r[:-1] if i == row else r for i, r in enumerate(tableau) if r != (m,))
+        lengths = [len(r) for r in prefix] + [0]
+        addable = [n - i for i, n in enumerate(lengths) if i == 0 or lengths[i - 1] > n]
+        target = len(tableau[row]) - 1 - row
+        unit, ratio = diagonal_unit(prefix), 1
+        for c in addable:
+            if c != target:
+                unit = multiply(unit, jm[m - 1] - identity.scale(c))
+                ratio *= target - c
+        grown[tableau] = unit.scale(Fraction(1, ratio))
+        return grown[tableau]
+
+    units = {}
+    for shape in map(tuple, partitions_of(size)):
+        base, *rest = standard_tableaux_of(shape)
+        units[(shape, base, base)] = diagonal_unit(base)
+        walk, unseen = [base], set(rest)
+        from_base, to_base = {}, {}
+        for s in walk:
+            for i in range(1, size):
+                t = tuple(tuple({i: i + 1, i + 1: i}.get(v, v) for v in r) for r in s)
+                if t not in unseen:
+                    continue
+                unseen.remove(t)
+                walk.append(t)
+                diag = units[(shape, t, t)] = diagonal_unit(t)
+                r = _content(t, i + 1) - _content(t, i)
+                tail = diag.scale(Fraction(1, r))
+                step_from = (multiply(swaps[i - 1], diag) - tail).scale(Fraction(r * r, r * r - 1))
+                step_to = multiply(diag, swaps[i - 1]) - tail
+                from_base[t] = step_from if s == base else multiply(from_base[s], step_from)
+                to_base[t] = step_to if s == base else multiply(step_to, to_base[s])
+        for p in rest:
+            units[(shape, p, base)] = to_base[p]
+            units[(shape, base, p)] = from_base[p]
+            for q in rest:
+                if p != q:
+                    units[(shape, p, q)] = multiply(to_base[p], from_base[q])
+    return units
+
+
+@pytest.mark.parametrize(
+    "size, mode", [(s, m) for s in range(1, 5) for m in (None, Fraction(3))] + [(5, None)]
+)
+def test_units_match_the_chained_products(size, mode):
+    assert sym_matrix_units(size, mode).units == _chained_units(size, mode)
+
+
+def test_units_size_six():
+    """At the cap the units sum to one, and the identity coefficient of
+    E_{P,Q} is f/6! when P = Q and 0 otherwise, f the number of
+    tableaux of the shape."""
+    system = sym_matrix_units(6, 3)
+    assert system.identity_sum() == one(12, 3)
+    for shape, p, q in system.index:
+        expect = Fraction(syt_dimension(shape), 720) if p == q else 0
+        assert system.units[(shape, p, q)].coeff(identity_diagram(12)) == expect
