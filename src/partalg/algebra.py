@@ -224,9 +224,11 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     lowest terms and K the column count (r <= K): each term pair adds
     (D c1)(E c2) p^r q^(K-r) into one integer per output diagram.  Each
     output coefficient is divided once at the end, by D E or D E q^K.
-    Generic factors holding a RatFunc multiply scalars pair by pair,
-    reading x^r from a table filled once per call and skipping it when
-    r = 0.
+    Both kernels drop the diagrams whose sum is zero and return their
+    canonical terms through ``_trusted``, without the constructor's
+    checks.  Generic factors holding a RatFunc multiply scalars pair by
+    pair, reading x^r from a table filled once per call and skipping it
+    when r = 0, and sum through the validating constructor.
     """
     a._check_compatible(b)
     if a.mode is not None:
@@ -248,6 +250,17 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                 contrib = contrib * power
             out[d] = out.get(d, 0) + contrib
     return AlgebraElement(a.double_rank, out, a.mode)
+
+
+def _trusted(double_rank: int, terms: dict[Diagram, Scalar], mode: Mode) -> AlgebraElement:
+    """The element with these terms, which the caller guarantees are of
+    the rank, with nonzero coefficients of the mode's own kind (Poly or
+    Fraction); nothing is checked."""
+    out = object.__new__(AlgebraElement)
+    out.double_rank = double_rank
+    out.mode = mode
+    out.terms = terms
+    return out
 
 
 def _integer_terms(terms: dict[Diagram, Fraction]) -> tuple[list[tuple[Diagram, int]], int]:
@@ -287,8 +300,8 @@ def _multiply_specialized(a: AlgebraElement, b: AlgebraElement) -> AlgebraElemen
             d, r = compose(d1, d2)
             sums[d] = sums.get(d, 0) + u * v * weights[r]
     den = da * db * q**k2
-    return AlgebraElement(
-        a.double_rank, {d: Fraction(s, den) for d, s in sums.items()}, a.mode
+    return _trusted(
+        a.double_rank, {d: Fraction(s, den) for d, s in sums.items() if s}, a.mode
     )
 
 
@@ -310,10 +323,12 @@ def _multiply_poly(double_rank: int, left, da: int, right, db: int) -> AlgebraEl
                 for j, v in enumerate(q, r + i):
                     acc[j] += u * v
     den = da * db
-    return AlgebraElement(
-        double_rank,
-        {d: Poly(acc if den == 1 else [Fraction(s, den) for s in acc]) for d, acc in sums.items()},
-    )
+    terms = {}
+    for d, acc in sums.items():
+        c = Poly(acc if den == 1 else [Fraction(s, den) for s in acc])
+        if c:
+            terms[d] = c
+    return _trusted(double_rank, terms, None)
 
 
 def embed(a: AlgebraElement, target_double_rank: int) -> AlgebraElement:

@@ -10,7 +10,7 @@ module dimensions, so both graphs memoize their walks.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import index
 
 from .errors import BadParams, VertexNotFound
@@ -153,10 +153,7 @@ def syt_dimension(lam) -> int:
     """Number of standard fillings, by the hook length formula."""
     parts = _validate(lam)
     hooks, _ = hooks_and_contents(parts)
-    total = factorial(sum(parts))
-    for h in hooks:
-        total //= h
-    return total
+    return factorial(sum(parts)) // prod(hooks)
 
 
 class BratteliGraph:

@@ -94,11 +94,14 @@ class Diagram:
     """Canonical set-partition diagram; immutable, hashable and interned.
 
     ``Diagram(double_rank, blocks)`` validates raw vertex lists and
-    returns the interned diagram of that partition.  Equality is
-    identity; the hash is that of (double_rank, labels).
+    returns the interned diagram of that partition.  There is one object
+    per (double_rank, labels), so equality and the hash are both those of
+    the object's identity; pickling and copying return the interned
+    object.  Identity hashes differ between processes, so no result may
+    depend on the iteration order of a set of diagrams.
     """
 
-    __slots__ = ("double_rank", "labels", "blocks", "_hash")
+    __slots__ = ("double_rank", "labels", "blocks")
 
     def __new__(cls, double_rank: int, blocks):
         k2 = columns(double_rank)
@@ -128,9 +131,6 @@ class Diagram:
 
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return (_diagram, (self.double_rank, self.labels))
@@ -166,7 +166,6 @@ def _diagram(double_rank: int, labels: tuple[int, ...]) -> Diagram:
         object.__setattr__(d, "double_rank", double_rank)
         object.__setattr__(d, "labels", labels)
         object.__setattr__(d, "blocks", tuple(sorted(parts, key=lambda b: _vkey(b[0]))))
-        object.__setattr__(d, "_hash", hash(key))
         d = _INTERNED.setdefault(key, d)
     return d
 
@@ -210,21 +209,19 @@ class _UnionFind:
         return True
 
 
+@lru_cache(maxsize=1 << 18)
 def compose(d1: Diagram, d2: Diagram) -> tuple[Diagram, int]:
     """Stacks d1 above d2.
 
     Returns (d1 d2, removed) where removed counts the connected
     components of the stacked picture that touch neither the top rim of
     d1 nor the bottom rim of d2.  Results are memoized; products of the
-    same pair dominate whole-algebra computations.
+    same pair dominate whole-algebra computations.  A pair of different
+    ranks raises RankMismatch on every call, since exceptions are not
+    cached; ``compose.__wrapped__`` is the uncached body.
     """
     if d1.double_rank != d2.double_rank:
         raise RankMismatch(f"ranks {d1.double_rank}/2 and {d2.double_rank}/2 differ")
-    return _compose_cached(d1, d2)
-
-
-@lru_cache(maxsize=1 << 18)
-def _compose_cached(d1: Diagram, d2: Diagram) -> tuple[Diagram, int]:
     # union-find over the blocks of d1 (nodes 0..b1-1) and of d2 (nodes
     # b1..), joined where the bottom of d1 meets the top of d2; the rim
     # is relabelled in vertex order, and the components it does not

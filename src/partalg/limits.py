@@ -51,6 +51,13 @@ LIMITS = {
     # double rank 2 * size; at n = x, 3, -3/61 and 1/127, size 5 0.02-0.03 s,
     # size 6 0.7-0.9 s and 50 MB; size 7 holds 5040**2 terms, not run
     "sym_matrix_units": 12,
+    # boxes of a shape in standard_tableaux_of, which recurses once per
+    # box; (100,) and (1,) * 100, one filling each, 0.002 s
+    "standard_tableaux_boxes": 100,
+    # entries of standard_tableaux_of, boxes times the hook-length count;
+    # (6, 4, 2, 1, 1), 69,498 fillings, 0.35-0.43 s and 35 MB; (98, 2),
+    # 4,850 fillings of 100 boxes, 0.24 s
+    "standard_tableaux": 1_000_000,
     "kappa": 100,  # n of S_n; kappa(100) 1.3 s and 78 MB, kappa(200) 7.8 s
     # n**slots of phi, phi_orbit, sym_tensor_matrix, kappa_tensor_matrix
     # and the verify_murphy witnesses; kappa_tensor_matrix(81, 1), 1.4 s
@@ -79,5 +86,7 @@ def check(name: str, size: int) -> int:
     BadParams unless size is an int >= 0 (a bool is not) and
     LimitExceeded over the cap."""
     if _nonnegative(name, size) > LIMITS[name]:
-        raise LimitExceeded(f"{name}: size {size} exceeds the cap {LIMITS[name]}")
+        # str() of an int past 4300 digits raises ValueError
+        shown = size if size.bit_length() < 64 else f"over 2**{size.bit_length() - 1}"
+        raise LimitExceeded(f"{name}: size {shown} exceeds the cap {LIMITS[name]}")
     return size

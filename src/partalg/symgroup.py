@@ -17,7 +17,7 @@ from itertools import chain, combinations, permutations, product
 from math import factorial, gcd, lcm
 
 from .algebra import AlgebraElement, Mode, _norm_coeff, diagram_element, multiply
-from .combinatorics import _validate, partitions_of
+from .combinatorics import _validate, partitions_of, syt_dimension
 from .diagrams import permutation_diagram
 from .errors import BadParams, SizeMismatch
 from .limits import _nonnegative, check
@@ -42,7 +42,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(images)
+        images = _as_tuple(images, "images")
         if any(type(v) is not int for v in images):
             raise BadParams("images are not ints")
         if sorted(images) != list(range(1, len(images) + 1)):
@@ -106,10 +106,19 @@ class Permutation:
     @staticmethod
     def from_cycles(size: int, cycles) -> Permutation:
         images = list(range(1, _nonnegative("from_cycles", size) + 1))
-        for cycle in map(tuple, cycles):
+        for cycle in _as_tuple(cycles, "cycles"):
+            cycle = _as_tuple(cycle, "a cycle")
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 images[_point(a, size) - 1] = b
         return Permutation(images)
+
+
+def _as_tuple(values, what: str) -> tuple:
+    """tuple(values), or BadParams when values is not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise BadParams(f"{what} {values!r} is not a sequence") from None
 
 
 def _point(v, size: int) -> int:
@@ -142,9 +151,15 @@ def kappa(n: int, mode: Mode = None) -> AlgebraElement:
 
 def standard_tableaux_of(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
     """Standard fillings of the shape, as row tuples, sorted; BadParams
-    unless the shape is a partition."""
+    unless the shape is a partition, and LimitExceeded, before any
+    filling is made, over the box cap or when the fillings would hold
+    more entries (boxes times the hook-length count) than
+    partalg.limits allows."""
     shape = _validate(shape)
     size = sum(shape)
+    # grow recurses once per box, and the count costs the square of size
+    check("standard_tableaux_boxes", size)
+    check("standard_tableaux", size * syt_dimension(shape))
 
     def grow(rows: tuple[tuple[int, ...], ...], value: int):
         if value > size:
@@ -320,7 +335,10 @@ def sym_matrix_units(size: int, mode: Mode = None) -> MatrixUnitSystem:
     return _sym_matrix_units(size, _read_mode(mode))
 
 
-@lru_cache(maxsize=None)
+# Each kept size-6 system holds about 13 MB.  Ten modes at size 6 in one
+# process peaked at 169 MB unbounded and at 103 MB with this bound (four
+# kept while a fifth is built); a rebuild at size 6 takes 0.6-1.0 s.
+@lru_cache(maxsize=4)
 def _sym_matrix_units(size: int, mode: Mode) -> MatrixUnitSystem:
     shapes = [tuple(shape) for shape in partitions_of(size)]
     tableaux = [standard_tableaux_of(shape) for shape in shapes]

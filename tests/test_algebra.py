@@ -416,6 +416,8 @@ def test_multiply_against_compose_oracle(kind):
     def power(r):
         return X**r if mode is None else mode**r
 
+    kinds = (Fraction,) if mode is not None else (Poly, RatFunc) if kind == "ratfunc" else (Poly,)
+    survivors = 0
     for dr in range(1, 7):
         diagrams = list(enumerate_diagrams(dr))
         for _ in range(3):
@@ -432,15 +434,30 @@ def test_multiply_against_compose_oracle(kind):
             if found is not None:
                 # c d1 (n^r3 e2 - n^r2 e3) = c (n^r3 n^r2 - n^r2 n^r3) d = 0
                 d1, e2, r2, e3, r3 = found
-                left = AlgebraElement(dr, {d1: coeff()}, mode)
+                left = AlgebraElement(dr, {d1: coeff() or 1}, mode)
                 right = AlgebraElement(dr, {e2: power(r3), e3: -power(r2)}, mode)
                 assert multiply(left, right).is_zero()
                 pairs += [(left, right), (a + left, right)]
+                # d cancels beside a diagram that survives: d1 over e makes
+                # no loop, so its term is nonzero even at n = 0
+                d = compose(d1, e2)[0]
+                kept = [e for e in diagrams if compose(d1, e)[0] is not d and not compose(d1, e)[1]]
+                if kept:
+                    survivor = AlgebraElement(dr, {kept[0]: coeff() or 1}, mode)
+                    product = multiply(left, survivor)
+                    assert not product.is_zero()
+                    assert multiply(left, right + survivor) == product
+                    pairs.append((left, right + survivor))
+                    survivors += 1
             for x, y in pairs:
                 product = multiply(x, y)
                 assert product == _oracle_product(x, y)
                 for value in product.terms.values():
+                    # the kernels build their result unchecked: no zero
+                    # and no other kind may be kept
+                    assert value and type(value) in kinds
                     _assert_canonical(value)
+    assert survivors
 
 
 @pytest.mark.parametrize("kind", ["poly", "ratfunc", 0, Fraction(1, 2), 3])

@@ -10,7 +10,7 @@ from partalg import combinatorics, diagrams, murphy, structure, symgroup, tensor
 from partalg.algebra import diagram_element, one
 from partalg.combinatorics import syt_dimension
 from partalg.diagrams import Diagram, enumerate_diagrams
-from partalg.errors import BadParams, BadShape, ModeMismatch, PartalgError
+from partalg.errors import BadParams, BadShape, LimitExceeded, ModeMismatch, PartalgError
 from partalg.scalars import parse_rational
 
 P1 = Diagram(2, [[1], [-1]])
@@ -144,6 +144,9 @@ SYMGROUP_ARGUMENTS = {
     'Permutation("ab")': lambda: symgroup.Permutation("ab"),  # ValueError
     "Permutation([1.5])": lambda: symgroup.Permutation([1.5]),  # was [1]
     "from_cycles(2, [(1, 3)])": lambda: symgroup.Permutation.from_cycles(2, [(1, 3)]),  # IndexError
+    "Permutation(5)": lambda: symgroup.Permutation(5),  # TypeError
+    "from_cycles(2, [1])": lambda: symgroup.Permutation.from_cycles(2, [1]),  # TypeError
+    "from_cycles(2, 7)": lambda: symgroup.Permutation.from_cycles(2, 7),  # TypeError
     'standard_tableaux_of("ab")': lambda: symgroup.standard_tableaux_of("ab"),  # TypeError
     "standard_tableaux_of((1, 2))": lambda: symgroup.standard_tableaux_of((1, 2)),  # was accepted
     "standard_tableaux_of((2, 0))": lambda: symgroup.standard_tableaux_of((2, 0)),  # was accepted
@@ -158,6 +161,21 @@ SYMGROUP_ARGUMENTS = {
 def test_symgroup_arguments_that_cannot_be_read(call):
     with pytest.raises(BadParams):
         call()
+
+
+def test_oversized_shapes_are_refused_before_enumerating():
+    """(1200,) recursed once per box into RecursionError; (30, 30) has
+    Catalan(30) fillings.  Both are refused before any filling is made."""
+    with pytest.raises(LimitExceeded, match="^standard_tableaux_boxes: "):
+        symgroup.standard_tableaux_of((1200,))
+    with pytest.raises(LimitExceeded, match="^standard_tableaux: "):
+        symgroup.standard_tableaux_of((30, 30))
+
+
+def test_a_cap_names_a_huge_size_without_printing_it():
+    # formatting an int of more than 4300 digits raised ValueError
+    with pytest.raises(LimitExceeded, match="^kappa: size over 2\\*\\*"):
+        symgroup.kappa(10**5000)
 
 
 COMBINATORICS_ARGUMENTS = {

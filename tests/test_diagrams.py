@@ -29,7 +29,6 @@ from partalg.diagrams import (
     token_str,
     verify_presentation,
 )
-from partalg.diagrams import _compose_cached
 from partalg.errors import (
     HalfIntegerConstraintViolated,
     IndexOutOfRange,
@@ -95,6 +94,22 @@ def test_compose_identity_and_break():
     assert compose(p1, p1) == (p1, 1)
     with pytest.raises(RankMismatch):
         compose(p1, identity_diagram(4))
+
+
+def test_compose_cache_keeps_the_rank_check():
+    """compose is its own memo: a mismatched pair is refused on every
+    call, since a raise is not cached, and a repeated pair is a hit."""
+    p1 = make_diagram(2, [[1], [-1]])
+    wide = identity_diagram(4)
+    for _ in range(2):
+        with pytest.raises(RankMismatch):
+            compose(p1, wide)
+    d1, d2 = generator("p", Fraction(3, 2), 4), generator("s", 1, 4)
+    first = compose(d1, d2)
+    hits = compose.cache_info().hits
+    assert compose(d1, d2) is first
+    assert compose.cache_info().hits == hits + 1
+    assert compose.cache_info().maxsize == 1 << 18
 
 
 def test_compose_associative_on_all_rank2_triples():
@@ -380,7 +395,7 @@ def _assert_compose_matches_oracle(d1, d2):
     blocks, removed = _block_compose(d1, d2)
     product = Diagram(d1.double_rank, blocks)
     # the uncached core, then the public memoized entry
-    assert _compose_cached.__wrapped__(d1, d2) == (product, removed)
+    assert compose.__wrapped__(d1, d2) == (product, removed)
     assert compose(d1, d2) == (product, removed)
     assert partition_key(product.blocks) == partition_key(blocks)
 
@@ -424,7 +439,11 @@ def test_labels_round_trip_through_blocks_and_json(double_rank):
                 assert (d.labels[i] == d.labels[j]) == (owner[u] == owner[v])
         assert Diagram(double_rank, d.blocks) is d
         assert make_diagram(double_rank, [list(reversed(b)) for b in reversed(d.blocks)]) is d
-        assert hash(d) == hash((double_rank, d.labels))
+        # the hash is the interned object's: rebuilding, pickling and
+        # copying all return that one object
+        assert hash(Diagram(double_rank, d.blocks)) == hash(d)
+        assert pickle.loads(pickle.dumps(d)) is d
+        assert copy.deepcopy(d) is d
 
 
 def test_equal_diagrams_are_one_object():

@@ -35,7 +35,7 @@ from partalg.structure import (
     specht,
     symmetrize,
 )
-from partalg.symgroup import kappa, sym_matrix_units
+from partalg.symgroup import kappa, standard_tableaux_of, sym_matrix_units
 from partalg.tensor import (
     bimodule_dimension_check,
     homomorphism_check,
@@ -100,6 +100,12 @@ PAST_CAP = {
     # the unit is the double rank 2 * size, so the next job is size + 1
     "sym_matrix_units": [lambda: sym_matrix_units(CAP["sym_matrix_units"] // 2 + 1)],
     "kappa": [lambda: kappa(CAP["kappa"] + 1)],
+    "standard_tableaux_boxes": [
+        lambda: standard_tableaux_of((CAP["standard_tableaux_boxes"] + 1,)),
+        lambda: standard_tableaux_of((1,) * (CAP["standard_tableaux_boxes"] + 1)),
+    ],
+    # entries, boxes times tableaux: 15 boxes with 292,864 tableaux
+    "standard_tableaux": [lambda: standard_tableaux_of((5, 4, 3, 2, 1))],
     "tensor_side": [
         lambda: phi(P1, SIDE),
         lambda: phi_orbit(P1, SIDE),

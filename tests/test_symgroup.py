@@ -264,6 +264,11 @@ def test_units_size_four_multiply_count(monkeypatch):
     assert len(calls) == 0
 
 
+def test_units_cache_is_bounded():
+    # a size-6 system holds about 13 MB, and each mode is another key
+    assert symgroup._sym_matrix_units.cache_info().maxsize is not None
+
+
 def _matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col) if x) for col in zip(*b)] for row in a]
 
