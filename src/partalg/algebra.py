@@ -4,7 +4,10 @@ Elements live at a fixed rank in one of two modes: generic, where
 coefficients are polynomials or rational functions in the parameter x,
 and specialized, where the parameter is a fixed rational n.  The
 product of two diagrams is x^r (or n^r) times their composition, r
-counting the components removed from the middle row.
+counting the components removed from the middle row.  A specialized
+element keeps int numerators over one common denominator, so its sums,
+scalings, products and equality do no Fraction arithmetic; ``terms``
+shows its coefficients as Fractions.
 
 >>> from partalg.algebra import diagram_element, multiply
 >>> from partalg.diagrams import make_diagram
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .diagrams import (
     Diagram,
@@ -83,57 +86,128 @@ def _norm_coeff(value, mode: Mode):
     return Fraction(value)
 
 
+def _generic_terms(double_rank: int, pairs) -> dict[Diagram, Scalar]:
+    # a Poly is canonical already; a scalar of every kind is false
+    # exactly when it is zero
+    cleaned: dict[Diagram, Scalar] = {}
+    for d, c in pairs:
+        if d.double_rank != double_rank:
+            raise RankMismatch("term rank differs from element rank")
+        if type(c) is not Poly:
+            c = _norm_coeff(c, None)
+        if c:
+            prev = cleaned.get(d)
+            if prev is None:
+                cleaned[d] = c
+            else:
+                total = _norm_coeff(prev + c, None)
+                if total:
+                    cleaned[d] = total
+                else:
+                    del cleaned[d]
+    return cleaned
+
+
+def _specialized_terms(double_rank: int, pairs, mode: Fraction) -> tuple[dict[Diagram, int], int]:
+    """The summed coefficients as nonzero ints over one positive
+    denominator, in lowest terms."""
+    sums: dict[Diagram, int] = {}
+    den = 1
+    for d, c in pairs:
+        if d.double_rank != double_rank:
+            raise RankMismatch("term rank differs from element rank")
+        if type(c) is not int and type(c) is not Fraction:
+            c = _norm_coeff(c, mode)
+        p, q = c.as_integer_ratio()
+        if den % q:
+            # widen den to lcm(den, q), rescaling the sums so far
+            m = q // gcd(den, q)
+            den *= m
+            for k in sums:
+                sums[k] *= m
+        sums[d] = sums.get(d, 0) + p * (den // q)
+    return _lowest_terms(sums, den)
+
+
+def _lowest_terms(sums: dict[Diagram, int], den: int) -> tuple[dict[Diagram, int], int]:
+    """sums / den, for den > 0, with the zero sums dropped and the rest
+    in lowest terms."""
+    g = gcd(den, *sums.values())
+    if g > 1:
+        return {d: v // g for d, v in sums.items() if v}, den // g
+    if all(sums.values()):
+        return sums, den
+    return {d: v for d, v in sums.items() if v}, den
+
+
 class AlgebraElement:
     """Linear combination of same-rank diagrams.  Treat as immutable.
 
     ``terms`` is a dict or an iterable of (diagram, coefficient) pairs;
     the coefficients of a repeated diagram are summed, and a diagram
     whose sum is zero is dropped.
+
+    A specialized element stores its coefficients as the nonzero ints
+    ``num`` over one positive int ``den``, in lowest terms (gcd(den,
+    *num.values()) == 1), so equal elements store equal numerators and
+    denominators and their sums, scalings and products run on ints.
+    The constructor takes ints, Fractions and values Fraction() parses.
+    A generic element stores its Poly or RatFunc coefficients in ``num``
+    over ``den`` 1.  ``terms`` shows the coefficients by diagram, as
+    Fractions in specialized mode.
+
+    >>> from partalg.diagrams import identity_diagram, make_diagram
+    >>> p1, e = make_diagram(2, [[1], [-1]]), identity_diagram(2)
+    >>> a = AlgebraElement(2, [(p1, Fraction(1, 2)), (e, 3)], Fraction(3))
+    >>> a.num[p1], a.num[e], a.den
+    (1, 6, 2)
+    >>> b = a.scale(Fraction(2, 3))
+    >>> b.num[p1], b.num[e], b.den
+    (1, 6, 3)
+    >>> b.terms[p1], b.terms[e]
+    (Fraction(1, 3), Fraction(2, 1))
     """
 
-    __slots__ = ("double_rank", "mode", "terms")
+    __slots__ = ("double_rank", "mode", "num", "den")
 
     def __init__(self, double_rank: int, terms, mode: Mode = None):
-        # a coefficient of the mode's own kind is canonical already; a
-        # scalar of every kind is false exactly when it is zero
-        kind = Poly if mode is None else Fraction
-        cleaned: dict[Diagram, Scalar] = {}
-        for d, c in terms.items() if isinstance(terms, dict) else terms:
-            if d.double_rank != double_rank:
-                raise RankMismatch("term rank differs from element rank")
-            if type(c) is not kind:
-                c = _norm_coeff(c, mode)
-            if c:
-                prev = cleaned.get(d)
-                if prev is None:
-                    cleaned[d] = c
-                else:
-                    total = _norm_coeff(prev + c, mode)
-                    if total:
-                        cleaned[d] = total
-                    else:
-                        del cleaned[d]
+        pairs = terms.items() if isinstance(terms, dict) else terms
+        if mode is None:
+            self.num = _generic_terms(double_rank, pairs)
+            self.den = 1
+        else:
+            self.num, self.den = _specialized_terms(double_rank, pairs, mode)
         self.double_rank = double_rank
         self.mode = mode
-        self.terms = cleaned
+
+    @property
+    def terms(self) -> dict[Diagram, Scalar]:
+        """The nonzero coefficients by diagram: Fractions in specialized
+        mode, Poly or RatFunc values in generic mode."""
+        if self.mode is None:
+            return self.num
+        den = self.den
+        return {d: Fraction(v, den) for d, v in self.num.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def coeff(self, d: Diagram):
-        zero = Fraction(0) if self.mode is not None else Poly(())
-        return self.terms.get(d, zero)
+        if self.mode is None:
+            return self.num.get(d, Poly(()))
+        return Fraction(self.num.get(d, 0), self.den)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AlgebraElement)
             and self.double_rank == other.double_rank
             and self.mode == other.mode
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.double_rank, self.mode, frozenset(self.terms.items())))
+        return hash((self.double_rank, self.mode, self.den, frozenset(self.num.items())))
 
     def _check_compatible(self, other: AlgebraElement) -> None:
         if self.double_rank != other.double_rank:
@@ -143,18 +217,21 @@ class AlgebraElement:
 
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
         self._check_compatible(other)
-        merged = dict(self.terms)
-        for d, c in other.terms.items():
+        if self.mode is not None:
+            return _add_specialized(self, other, 1)
+        merged = dict(self.num)
+        for d, c in other.num.items():
             merged[d] = merged.get(d, 0) + c
         return AlgebraElement(self.double_rank, merged, self.mode)
 
     def __sub__(self, other: AlgebraElement) -> AlgebraElement:
+        self._check_compatible(other)
+        if self.mode is not None:
+            return _add_specialized(self, other, -1)
         return self + (-other)
 
     def __neg__(self) -> AlgebraElement:
-        return AlgebraElement(
-            self.double_rank, {d: -c for d, c in self.terms.items()}, self.mode
-        )
+        return self.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -165,14 +242,16 @@ class AlgebraElement:
         return self.scale(other)
 
     def scale(self, value) -> AlgebraElement:
-        return AlgebraElement(
-            self.double_rank,
-            {d: c * value for d, c in self.terms.items()},
-            self.mode,
-        )
+        if self.mode is None:
+            return AlgebraElement(
+                self.double_rank, {d: c * value for d, c in self.num.items()}
+            )
+        p, q = _norm_coeff(value, self.mode).as_integer_ratio()
+        num = {d: v * p for d, v in self.num.items()}
+        return _trusted(self.double_rank, *_lowest_terms(num, self.den * q), self.mode)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for d, c in sorted(self.terms.items(), key=lambda item: item[0].blocks):
@@ -215,32 +294,34 @@ def _param_power(mode: Mode, r: int):
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of d1 d2 = x^r (d1 composed over d2).
 
-    Both kernels accumulate integers.  Each factor is scaled by the
-    common denominator of all its coefficients, D for a and E for b (1
-    when every coefficient is integral).  Generic factors holding only
-    Poly coefficients: each term pair adds the convolution of its two
-    integer tuples, shifted up by r places for x^r, into one integer
-    list per output diagram.  Specialized factors, with n = p/q in
-    lowest terms and K the column count (r <= K): each term pair adds
-    (D c1)(E c2) p^r q^(K-r) into one integer per output diagram.  Each
-    output coefficient is divided once at the end, by D E or D E q^K.
-    Both kernels drop the diagrams whose sum is zero and return their
-    canonical terms through ``_trusted``, without the constructor's
-    checks.  Generic factors holding a RatFunc multiply scalars pair by
-    pair, reading x^r from a table filled once per call and skipping it
-    when r = 0, and sum through the validating constructor.
+    Both integer kernels accumulate ints and build their result through
+    ``_trusted``, without the constructor's checks, dropping the
+    diagrams whose sum is zero.  Specialized factors are ints over one
+    denominator each, D for a and E for b; with n = p/q in lowest terms
+    and K the column count (r <= K), each term pair adds u v p^r q^(K-r)
+    for numerators u and v into one int per output diagram, and the
+    sums are over D E q^K, reduced once by their gcd.  Generic factors
+    holding only Poly coefficients are scaled to integers by the common
+    denominator of all their coefficients, D and E again (1 when every
+    coefficient is integral): each term pair adds the convolution of
+    its two integer tuples, shifted up by r places for x^r, into one
+    integer list per output diagram, and each output coefficient is
+    divided once at the end, by D E.  Generic factors holding a RatFunc
+    multiply scalars pair by pair, reading x^r from a table filled once
+    per call and skipping it when r = 0, and sum through the validating
+    constructor.
     """
     a._check_compatible(b)
     if a.mode is not None:
         return _multiply_specialized(a, b)
-    left = _integer_polys(a.terms)
-    right = None if left is None else _integer_polys(b.terms)
+    left = _integer_polys(a.num)
+    right = None if left is None else _integer_polys(b.num)
     if right is not None:
         return _multiply_poly(a.double_rank, *left, *right)
     powers: dict[int, Scalar] = {}
     out: dict[Diagram, Scalar] = {}
-    for d1, c1 in a.terms.items():
-        for d2, c2 in b.terms.items():
+    for d1, c1 in a.num.items():
+        for d2, c2 in b.num.items():
             d, r = compose(d1, d2)
             contrib = c1 * c2
             if r:
@@ -252,21 +333,25 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.double_rank, out, a.mode)
 
 
-def _trusted(double_rank: int, terms: dict[Diagram, Scalar], mode: Mode) -> AlgebraElement:
-    """The element with these terms, which the caller guarantees are of
-    the rank, with nonzero coefficients of the mode's own kind (Poly or
-    Fraction); nothing is checked."""
+def _trusted(double_rank: int, num: dict[Diagram, Scalar], den: int, mode: Mode) -> AlgebraElement:
+    """The element num / den, which the caller guarantees is canonical:
+    terms of the rank, nonzero, of the mode's own kind (Poly over den 1,
+    or ints over den > 0 in lowest terms); nothing is checked."""
     out = object.__new__(AlgebraElement)
     out.double_rank = double_rank
     out.mode = mode
-    out.terms = terms
+    out.num = num
+    out.den = den
     return out
 
 
-def _integer_terms(terms: dict[Diagram, Fraction]) -> tuple[list[tuple[Diagram, int]], int]:
-    """The terms scaled by their common denominator, and that denominator."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return [(d, c.numerator * (den // c.denominator)) for d, c in terms.items()], den
+def _add_specialized(a: AlgebraElement, b: AlgebraElement, sign: int) -> AlgebraElement:
+    den = lcm(a.den, b.den)
+    ka, kb = den // a.den, sign * (den // b.den)
+    sums = {d: v * ka for d, v in a.num.items()}
+    for d, v in b.num.items():
+        sums[d] = sums.get(d, 0) + v * kb
+    return _trusted(a.double_rank, *_lowest_terms(sums, den), a.mode)
 
 
 def _integer_polys(terms: dict[Diagram, Scalar]):
@@ -289,20 +374,18 @@ def _integer_polys(terms: dict[Diagram, Scalar]):
 
 
 def _multiply_specialized(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    left, da = _integer_terms(a.terms)
-    right, db = _integer_terms(b.terms)
     p, q = a.mode.numerator, a.mode.denominator
     k2 = columns(a.double_rank)
     weights = [p**r * q ** (k2 - r) for r in range(k2 + 1)]
+    right = b.num.items()
     sums: dict[Diagram, int] = {}
-    for d1, u in left:
+    get = sums.get
+    for d1, u in a.num.items():
+        scaled = [u * w for w in weights]
         for d2, v in right:
             d, r = compose(d1, d2)
-            sums[d] = sums.get(d, 0) + u * v * weights[r]
-    den = da * db * q**k2
-    return _trusted(
-        a.double_rank, {d: Fraction(s, den) for d, s in sums.items() if s}, a.mode
-    )
+            sums[d] = get(d, 0) + scaled[r] * v
+    return _trusted(a.double_rank, *_lowest_terms(sums, a.den * b.den * q**k2), a.mode)
 
 
 def _multiply_poly(double_rank: int, left, da: int, right, db: int) -> AlgebraElement:
@@ -328,7 +411,7 @@ def _multiply_poly(double_rank: int, left, da: int, right, db: int) -> AlgebraEl
         c = Poly(acc if den == 1 else [Fraction(s, den) for s in acc])
         if c:
             terms[d] = c
-    return _trusted(double_rank, terms, None)
+    return _trusted(double_rank, terms, 1, None)
 
 
 def embed(a: AlgebraElement, target_double_rank: int) -> AlgebraElement:
@@ -344,13 +427,14 @@ def embed(a: AlgebraElement, target_double_rank: int) -> AlgebraElement:
         dr = result.double_rank
         if dr % 2 == 0:
             new_col = columns(dr) + 1
-            terms = {
+            num = {
                 Diagram(dr + 1, d.blocks + ((new_col, -new_col),)): c
-                for d, c in result.terms.items()
+                for d, c in result.num.items()
             }
         else:
-            terms = {Diagram(dr + 1, d.blocks): c for d, c in result.terms.items()}
-        result = AlgebraElement(dr + 1, terms, result.mode)
+            num = {Diagram(dr + 1, d.blocks): c for d, c in result.num.items()}
+        # distinct diagrams embed to distinct diagrams: still canonical
+        result = _trusted(dr + 1, num, result.den, result.mode)
     return result
 
 

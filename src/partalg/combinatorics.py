@@ -14,7 +14,7 @@ from math import comb, factorial, prod
 from operator import index
 
 from .errors import BadParams, VertexNotFound
-from .limits import _nonnegative
+from .limits import _nonnegative, check
 
 __all__ = [
     "Partition",
@@ -134,8 +134,10 @@ def attach_first_row(mu, n: int) -> Partition:
 
 
 def hooks_and_contents(lam) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Hook lengths and contents j - i over the boxes, each sorted."""
+    """Hook lengths and contents j - i over the boxes, each sorted.
+    The box count is capped by the hook_boxes entry of partalg.limits."""
     parts = _validate(lam)
+    check("hook_boxes", sum(parts))
     conj = [0] * (parts[0] if parts else 0)
     for p in parts:
         for j in range(p):
@@ -150,7 +152,8 @@ def hooks_and_contents(lam) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def syt_dimension(lam) -> int:
-    """Number of standard fillings, by the hook length formula."""
+    """Number of standard fillings, by the hook length formula; the
+    box count is capped as in hooks_and_contents."""
     parts = _validate(lam)
     hooks, _ = hooks_and_contents(parts)
     return factorial(sum(parts)) // prod(hooks)

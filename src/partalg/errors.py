@@ -89,7 +89,10 @@ class BadSubset(PartalgError):
 
 
 class NotSemisimple(PartalgError):
-    """A required trace weight vanishes; the algebra is not semisimple here."""
+    """A trace weight the tower construction of matrix units divides by
+    vanishes, or the units fail to span.  Every weight below the target
+    level must be nonzero, which is stronger than semisimplicity:
+    A_{3/2}(0) is semisimple, yet the weight of level 1/2 vanishes at 0."""
 
 
 class OutOfScopeDepth(PartalgError):

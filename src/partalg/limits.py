@@ -58,6 +58,11 @@ LIMITS = {
     # (6, 4, 2, 1, 1), 69,498 fillings, 0.35-0.43 s and 35 MB; (98, 2),
     # 4,850 fillings of 100 boxes, 0.24 s
     "standard_tableaux": 1_000_000,
+    # boxes of a shape in hooks_and_contents and syt_dimension, whose
+    # factorial and hook product grow with the square of the box count;
+    # syt_dimension of (100000,), (1,) * 100000 and (316,) * 316,
+    # 3.1-3.8 s and 25 MB; at 150,000 boxes 5.8-7.4 s
+    "hook_boxes": 100_000,
     "kappa": 100,  # n of S_n; kappa(100) 1.3 s and 78 MB, kappa(200) 7.8 s
     # n**slots of phi, phi_orbit, sym_tensor_matrix, kappa_tensor_matrix
     # and the verify_murphy witnesses; kappa_tensor_matrix(81, 1), 1.4 s

@@ -42,7 +42,9 @@ from .algebra import (
     generator_element,
     ideal_basis,
     multiply,
+    one,
     specialize,
+    zero,
 )
 from .combinatorics import (
     BratteliGraph,
@@ -152,13 +154,15 @@ def _weight(double_level: int, vertex) -> Poly:
     return char_poly(vertex, half=bool(double_level % 2)).poly
 
 
-def _coordinates(u: AlgebraElement, position: dict[Diagram, int]) -> list[Fraction]:
-    """Coefficients of u on the indexed diagrams; other terms drop out."""
-    vec = [Fraction(0)] * len(position)
-    for d, c in u.terms.items():
+def _coordinates(u: AlgebraElement, position: dict[Diagram, int]) -> list[int]:
+    """Numerators of u on the indexed diagrams, all over u.den; other
+    terms drop out.  Scaling a row or a column by its denominator moves
+    neither the rank nor the pivot columns, which is all they feed."""
+    vec = [0] * len(position)
+    for d, v in u.num.items():
         i = position.get(d)
         if i is not None:
-            vec[i] = c
+            vec[i] = v
     return vec
 
 
@@ -228,9 +232,11 @@ def regular_trace(a: AlgebraElement) -> Scalar:
     enumerate_diagrams entry of partalg.limits.
     """
     check("enumerate_diagrams", a.double_rank)
-    total = Fraction(0) if a.mode is not None else Poly(())
+    if a.mode is not None:
+        return Fraction(sum(v * _regular_value(d)(a.mode) for d, v in a.num.items()), a.den)
+    total = Poly(())
     for d, c in a.terms.items():
-        total = total + c * _at(_regular_value(d), a.mode)
+        total = total + c * _regular_value(d)
     return total
 
 
@@ -448,7 +454,8 @@ def _build_units(t: int, n: Fraction) -> MatrixUnitSystem:
         for vertex in _graph(t).levels[t - 1]:
             if _weight(t - 1, vertex)(n) == 0:
                 raise NotSemisimple(
-                    f"weight of {vertex} at level {t - 1}/2 vanishes at n = {n}"
+                    f"the tower construction needs every weight at level {t - 1}/2"
+                    f" nonzero, and that of {vertex} vanishes at n = {n}"
                 )
         for mu, paths, left, right in _sandwich_factors(t, n, _build_units(t - 1, n)):
             den = _weight(t - 2, mu)(n)
@@ -456,9 +463,10 @@ def _build_units(t: int, n: Fraction) -> MatrixUnitSystem:
                 ratio = _weight(t - 1, q[-2])(n) / den
                 for p in paths:
                     units[(mu, p, q)] = multiply(left[p], right[q]).scale(1 / ratio)
-    diagonal = (u for (_, p, q), u in units.items() if p == q)
-    pairs = [(d, -c) for u in diagonal for d, c in u.terms.items()]
-    complement = AlgebraElement(t, [(identity_diagram(t), 1)] + pairs, n)
+    complement = one(t, n)
+    for (_, p, q), u in units.items():
+        if p == q:
+            complement = complement - u
     sym = sym_matrix_units(t // 2, n)
     for (shape, ptab, qtab), u in sym.units.items():
         key = (shape, _tableau_walk(ptab, t), _tableau_walk(qtab, t))
@@ -474,8 +482,10 @@ def matrix_units(double_rank: int, n) -> MatrixUnitSystem:
     then divide by the weight ratio of the column walk's half-level
     vertex (rational normalization, no square roots).  The top layer
     multiplies symmetric-group units by the complement of the ideal's
-    central idempotent.  Vanishing lower weights make the division
-    impossible, which is exactly the non-semisimple boundary.
+    central idempotent.  A vanishing lower weight makes the division
+    impossible and raises NotSemisimple.  That condition is stronger
+    than semisimplicity: A_{3/2}(0) is semisimple (its regular Gram
+    matrix has full rank), yet the weight x of the level 1/2 vanishes.
     """
     check("matrix_units", double_rank)
     return _build_units(double_rank, parse_parameter(n))
@@ -549,15 +559,15 @@ def basic_construction_iso(
     hb = [diagram_element(d, 1, point) for d in half_basis]
     eb = [embed(a, t) for a in hb]
     p_elem = generator_element("p", _p_index(t), t, point)
-    p_diag = next(iter(p_elem.terms))
+    p_diag = next(iter(p_elem.num))
     # each product is one diagram times n**r, or zero, so the rank of
     # their span is the number of distinct diagrams among their terms
     products = [[multiply(multiply(a, p_elem), b) for b in eb] for a in eb]
-    span_rank = len({d for row in products for u in row for d in u.terms})
+    span_rank = len({d for row in products for u in row for d in u.num})
     ideal = ideal_basis(t)
     expected = counting("bell", t) - factorial(t // 2)
 
-    embedded_diagram = [next(iter(a.terms)) for a in eb]
+    embedded_diagram = [next(iter(a.num)) for a in eb]
     found: dict[Diagram, tuple[int, int]] = {}
     for i, di in enumerate(embedded_diagram):
         first, r1 = compose(di, p_diag)
@@ -748,11 +758,12 @@ def symmetrize(
         raise DegenerateForm(
             f"regular trace form is degenerate at n = {n}"
         ) from None
-    pairs = []
+    total = zero(double_rank, point)
     for j, b in enumerate(basis):
         dual = [
-            (d, inverse[i][j] * c) for i, u in enumerate(basis) for d, c in u.terms.items()
+            (d, inverse[i][j] * Fraction(v, u.den))
+            for i, u in enumerate(basis)
+            for d, v in u.num.items()
         ]
-        averaged = multiply(multiply(b, a), AlgebraElement(double_rank, dual, point))
-        pairs += averaged.terms.items()
-    return AlgebraElement(double_rank, pairs, point)
+        total = total + multiply(multiply(b, a), AlgebraElement(double_rank, dual, point))
+    return total

@@ -279,14 +279,11 @@ def phi(b: Diagram | AlgebraElement, n: int) -> EndoMatrix:
         _side(n, slots)
         if b.mode != n:
             raise BadParams("element must be specialized at the same n")
-        # coefficients scaled to ints over the lcm of their denominators
-        den = lcm(*(c.denominator for c in b.terms.values()))
         flat = [0] * n ** (2 * slots)
-        for d, c in b.terms.items():
-            c = c.numerator * (den // c.denominator)
+        for d, c in b.num.items():
             for p in _support(d, n, False):
                 flat[p] += c
-        return EndoMatrix._of_flat(n, slots, flat, den)
+        return EndoMatrix._of_flat(n, slots, flat, b.den)
     return _indicator(_checked_diagram(b), n, False)
 
 

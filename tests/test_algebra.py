@@ -3,6 +3,7 @@ conditional expectations, traces, specialization, the ideal."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -360,15 +361,20 @@ def test_bilinearity(ta, tb, tc, scale):
     assert trace(a + b) == trace(a) + trace(b)
 
 
-def _oracle_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Sum of c1 * c2 * parameter**r over every term pair, by compose."""
+def _oracle_sums(a: AlgebraElement, b: AlgebraElement) -> dict:
+    """Sum of c1 * c2 * parameter**r over every term pair, by compose,
+    before any zero sum is dropped."""
     out = {}
     for d1, c1 in a.terms.items():
         for d2, c2 in b.terms.items():
             d, r = compose(d1, d2)
             power = X**r if a.mode is None else a.mode**r
             out[d] = out.get(d, 0) + c1 * c2 * power
-    return AlgebraElement(a.double_rank, out, a.mode)
+    return out
+
+
+def _oracle_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    return AlgebraElement(a.double_rank, _oracle_sums(a, b), a.mode)
 
 
 def _assert_canonical(value):
@@ -548,3 +554,85 @@ def test_specialize_commutes_with_multiply():
                 for n in points:
                     expect = multiply(specialize(x, n), specialize(y, n))
                     assert specialize(product, n) == expect
+
+
+def _fraction_sums(pairs) -> dict:
+    """The Fraction sum of each diagram's coefficients, zeros dropped."""
+    out = {}
+    for d, c in pairs:
+        out[d] = out.get(d, 0) + Fraction(c)
+    return {d: c for d, c in out.items() if c}
+
+
+def _assert_lowest_terms(a: AlgebraElement, expect: dict) -> None:
+    """a stores nonzero ints over a positive denominator in lowest
+    terms, and shows them as the Fractions expect."""
+    assert type(a.den) is int and a.den > 0
+    assert all(type(v) is int and v != 0 for v in a.num.values())
+    assert gcd(a.den, *a.num.values()) == 1
+    assert all(type(c) is Fraction for c in a.terms.values())
+    assert a.terms == expect
+
+
+@pytest.mark.parametrize("mode", [Fraction(0), Fraction(3), Fraction(-5, 7), Fraction(1, 2)])
+def test_specialized_elements_are_int_numerators_in_lowest_terms(mode):
+    rng = random.Random(20040115)
+    basis = list(enumerate_diagrams(4))
+
+    def pairs(count):
+        # few diagrams, so they repeat, and denominators sharing factors
+        # with each other and with the parameter
+        return [
+            (rng.choice(basis[:8]), Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6))))
+            for _ in range(count)
+        ]
+
+    def extended(f, x):
+        """The pairs of the linear map f on x, from f of each diagram."""
+        return [
+            (k2, v * w)
+            for k, v in x.terms.items()
+            for k2, w in f(diagram_element(k, 1, mode)).terms.items()
+        ]
+
+    d, e = basis[3], basis[9]
+    # a sum that cancels takes its denominator with it
+    cancelled = AlgebraElement(4, [(d, Fraction(1, 6)), (e, Fraction(1, 2)), (d, Fraction(-1, 6))], mode)
+    _assert_lowest_terms(cancelled, {e: Fraction(1, 2)})
+    assert cancelled.den == 2
+    _assert_lowest_terms(AlgebraElement(4, [(d, 2), (d, Fraction(-4, 2))], mode), {})
+    assert zero(4, mode).den == 1
+
+    for _ in range(25):
+        ta, tb, tc = pairs(6), pairs(6), pairs(3)
+        a, b, c = (AlgebraElement(4, t, mode) for t in (ta, tb, tc))
+        for built, t in ((a, ta), (b, tb), (c, tc)):
+            _assert_lowest_terms(built, _fraction_sums(t))
+        ab = multiply(a, b)
+        _assert_lowest_terms(ab, {k: v for k, v in _oracle_sums(a, b).items() if v})
+        _assert_lowest_terms(a + b, _fraction_sums(ta + tb))
+        _assert_lowest_terms(a - b, _fraction_sums(ta + [(k, -v) for k, v in tb]))
+        factor = Fraction(rng.choice((-4, -1, 2, 6)), rng.choice((1, 3, 9)))
+        _assert_lowest_terms(a.scale(factor), {k: v * factor for k, v in a.terms.items()})
+        _assert_lowest_terms(a.scale(Fraction(0)), {})
+        for target in (5, 6):
+            up = extended(lambda x: embed(x, target), a)
+            _assert_lowest_terms(embed(a, target), _fraction_sums(up))
+        _assert_lowest_terms(eps_down(a), _fraction_sums(extended(eps_down, a)))
+        a5 = embed(a, 5)
+        _assert_lowest_terms(eps_up(a5), _fraction_sums(extended(eps_up, a5)))
+        generic = AlgebraElement(4, [(k, Poly([v, Fraction(1, 2), -v])) for k, v in ta])
+        at_mode = [(k, p(mode)) for k, p in generic.terms.items()]
+        _assert_lowest_terms(specialize(generic, mode), _fraction_sums(at_mode))
+
+        # equal elements reached by different routes hash equal
+        routes = [
+            (a + b, b + a),
+            (a - a, zero(4, mode)),
+            (AlgebraElement(4, ab.terms, mode), ab),
+            (a.scale(factor).scale(1 / factor), a),
+            (multiply(a, b + c), multiply(a, b) + multiply(a, c)),
+            (embed(ab, 6), multiply(embed(a, 6), embed(b, 6))),
+        ]
+        for x, y in routes:
+            assert x == y and hash(x) == hash(y)

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from partalg import structure
+from partalg import combinatorics, structure
+from partalg.combinatorics import hooks_and_contents, syt_dimension
 from partalg.algebra import AlgebraElement, one, specialize
 from partalg.diagrams import Diagram, enumerate_diagrams, generator
 from partalg.errors import BadParams, LimitExceeded
@@ -99,6 +100,12 @@ PAST_CAP = {
     ],
     # the unit is the double rank 2 * size, so the next job is size + 1
     "sym_matrix_units": [lambda: sym_matrix_units(CAP["sym_matrix_units"] // 2 + 1)],
+    "hook_boxes": [
+        lambda: syt_dimension((CAP["hook_boxes"] + 1,)),
+        lambda: syt_dimension((CAP["hook_boxes"] // 2 + 1, CAP["hook_boxes"] // 2)),
+        lambda: hooks_and_contents((CAP["hook_boxes"] + 1,)),
+        lambda: syt_dimension((10**7,)),
+    ],
     "kappa": [lambda: kappa(CAP["kappa"] + 1)],
     "standard_tableaux_boxes": [
         lambda: standard_tableaux_of((CAP["standard_tableaux_boxes"] + 1,)),
@@ -229,3 +236,24 @@ def test_benchmark_sizes_are_admitted(monkeypatch):
     for n in (2, 3, 4, 5):
         with pytest.raises(Admitted):
             structure.semisimple_verdict(6, n)
+
+
+def test_hook_box_cap_is_admitted(monkeypatch):
+    cap = CAP["hook_boxes"]
+    hooks, contents = hooks_and_contents((cap,))
+    assert hooks == tuple(range(1, cap + 1)) and contents == tuple(range(cap))
+
+    # syt_dimension((cap,)) takes seconds; admission is all this asks
+    # of it, so stop it at its first big-int work
+    class Admitted(Exception):
+        pass
+
+    def first_work(m):
+        raise Admitted
+
+    monkeypatch.setattr(combinatorics, "factorial", first_work)
+    for shape in ((cap,), (1,) * cap):
+        with pytest.raises(Admitted):
+            syt_dimension(shape)
+    with pytest.raises(LimitExceeded, match="^hook_boxes: "):
+        syt_dimension((1,) * (cap + 1))

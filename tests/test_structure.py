@@ -30,6 +30,7 @@ from partalg.diagrams import (
     enumerate_diagrams,
     propagating_number,
 )
+from partalg.errors import NotSemisimple
 from partalg.linalg import PRIME, rank, singular
 from partalg.scalars import Poly
 from partalg.structure import (
@@ -231,6 +232,14 @@ def test_char_decomposition():
 def test_tower_matrix_units(n):
     for dr in range(5):
         unit_system_obeys_relations(matrix_units(dr, n))
+
+
+def test_tower_units_need_more_than_semisimplicity():
+    # A_{3/2}(0) is semisimple: its regular Gram matrix has full rank
+    assert rank(gram(3, 0, want_det=False).matrix) == counting("bell", 3) == 5
+    # yet the tower divides by the weight x of level 1/2, which is 0 there
+    with pytest.raises(NotSemisimple, match=r"every weight at level 1/2 nonzero.* \(\) vanishes"):
+        matrix_units(3, 0)
 
 
 def _bell(m: int) -> int:
