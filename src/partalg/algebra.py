@@ -34,12 +34,14 @@ from .diagrams import (
     propagating_number,
 )
 from .errors import (
+    BadParams,
     InvalidTarget,
     ModeMismatch,
     NonHalfIntegerRank,
     NonIntegerRank,
     RankMismatch,
 )
+from .limits import _nonnegative, check
 from .scalars import (
     Poly,
     RatFunc,
@@ -80,10 +82,13 @@ def _norm_coeff(value, mode: Mode):
             return value.num if value.den == Poly.const(1) else value
         if isinstance(value, Poly):
             return value
-        return Poly.const(Fraction(value))
-    if isinstance(value, (Poly, RatFunc)):
+    elif isinstance(value, (Poly, RatFunc)):
         raise ModeMismatch("specialized element cannot hold symbolic coefficients")
-    return Fraction(value)
+    try:
+        value = Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise BadParams(f"coefficient {value!r} is not a rational") from None
+    return value if mode is not None else Poly.const(value)
 
 
 def _generic_terms(double_rank: int, pairs) -> dict[Diagram, Scalar]:
@@ -243,6 +248,7 @@ class AlgebraElement:
 
     def scale(self, value) -> AlgebraElement:
         if self.mode is None:
+            value = _norm_coeff(value, None)
             return AlgebraElement(
                 self.double_rank, {d: c * value for d, c in self.num.items()}
             )
@@ -420,7 +426,7 @@ def embed(a: AlgebraElement, target_double_rank: int) -> AlgebraElement:
     Integer to half adds the through-strand on the new column; half to
     integer reinterprets the same diagrams one level up.
     """
-    if target_double_rank < a.double_rank:
+    if _nonnegative("embed target", target_double_rank) < a.double_rank:
         raise InvalidTarget("cannot embed downward")
     result = a
     while result.double_rank < target_double_rank:
@@ -454,9 +460,10 @@ def refinements(d: Diagram) -> list[Diagram]:
     """All diagrams below d in the coarsening order (blocks split).
 
     At a half-integer rank -K goes wherever K goes, so the two stay in
-    one block.
+    one block.  There are up to Bell(double rank) of them, so the double
+    rank is capped, as for every orbit-basis entry, in partalg.limits.
     """
-    k2 = columns(d.double_rank)
+    k2 = columns(check("orbit_basis", d.double_rank))
     twin = -k2 if d.double_rank % 2 else 0
     splits = [_set_partitions([v for v in block if v != twin]) for block in d.blocks]
     return [
@@ -469,7 +476,10 @@ def refinements(d: Diagram) -> list[Diagram]:
 
 
 def coarsenings(d: Diagram) -> list[Diagram]:
-    """All diagrams above d in the coarsening order (blocks merged)."""
+    """All diagrams above d in the coarsening order (blocks merged).
+    Every orbit-basis map goes through here, and shares the cap of
+    refinements."""
+    check("orbit_basis", d.double_rank)
     return [
         Diagram(d.double_rank, [[v for b in group for v in b] for group in groups])
         for groups in _set_partitions(d.blocks)
@@ -478,6 +488,8 @@ def coarsenings(d: Diagram) -> list[Diagram]:
 
 def mobius_coefficient(finer: Diagram, coarser: Diagram) -> int:
     """Mobius function of the refinement interval [finer, coarser]."""
+    if finer.double_rank != coarser.double_rank:
+        raise RankMismatch("diagram ranks differ")
     owner = {v: i for i, b in enumerate(coarser.blocks) for v in b}
     counts = [0] * len(coarser.blocks)
     for block in finer.blocks:
@@ -578,7 +590,7 @@ def specialize(a: AlgebraElement, n) -> AlgebraElement:
 def ideal_basis(double_rank: int) -> list[Diagram]:
     """Diagrams with propagating number below the column count; they
     span the ideal complementing the permutation quotient."""
-    k2 = columns(double_rank)
+    k2 = columns(check("enumerate_diagrams", double_rank))
     return [
         d
         for d in enumerate_diagrams(double_rank)

@@ -21,7 +21,6 @@ __all__ = [
     "SizeMismatch",
     "BadSubset",
     "NotSemisimple",
-    "OutOfScopeDepth",
     "BadShape",
     "DegenerateForm",
     "DenominatorVanishes",
@@ -93,10 +92,6 @@ class NotSemisimple(PartalgError):
     vanishes, or the units fail to span.  Every weight below the target
     level must be nonzero, which is stronger than semisimplicity:
     A_{3/2}(0) is semisimple, yet the weight of level 1/2 vanishes at 0."""
-
-
-class OutOfScopeDepth(PartalgError):
-    """Radical computation requested beyond the first failure layer."""
 
 
 class BadShape(PartalgError):

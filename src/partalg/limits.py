@@ -29,7 +29,6 @@ LIMITS = {
     # sampled quadruples of basic_construction_iso; at double rank 5
     # and n = -5/7, 50,000 of them take 6.0 s
     "basic_construction_quadruples": 50_000,
-    "radical_basis": 4,  # double rank; radical_basis(4, 2), 0.04 s
     "specht": 4,  # double rank; specht(4, (2,)), 0.01 s
     # double rank; symmetrize(one, 5, n) at n = 7/3, -3/61 and 1/127,
     # 0.04-0.06 s; at 6, 4.1-4.2 s for 7/3 but 15.0-15.2 s for -3/61 and
@@ -42,6 +41,13 @@ LIMITS = {
     # time and memory linear in the rank; generator("s", 1, 100000)
     # 0.41 s and 35 MB, at 10**6 5.6 s and 332 MB
     "diagram": 100_000,
+    # double rank of refinements, coarsenings, to_orbit_basis,
+    # from_orbit_basis and orbit_element, which make up to Bell(double
+    # rank) diagrams per term; at 10, refinements of the one-block
+    # diagram and orbit_element of the all-singletons one, 115,975
+    # diagrams, 2.8-5.2 s and 158 MB; at 11 both ran out of an 800 MB
+    # address-space limit after 23-24 s
+    "orbit_basis": 10,
     # double rank; verify_murphy(6, [4]), 0.88 s; at 7 the witnesses
     # [4] * 12 + [2] took 17 s
     "verify_murphy": 6,

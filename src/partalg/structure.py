@@ -17,9 +17,9 @@ propagating blocks, or drops propagation and pairs to 0.  Per-vertex
 character polynomials in the parameter give the trace weights level by
 level, and their ratios along branching-graph edges normalize a
 recursive construction of matrix units.  On top of those sit the
-basic-construction model of the proper ideal, radical bases at the
-first degenerate level, cell modules with their rank checks, and the
-averaging map onto the center.
+basic-construction model of the proper ideal, the radical as the
+kernel of the regular Gram form, cell modules with their rank checks,
+and the averaging map onto the center.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from .errors import (
     ModeMismatch,
     NonIntegerRank,
     NotSemisimple,
-    OutOfScopeDepth,
     PartalgError,
     VertexNotFound,
 )
@@ -156,8 +155,8 @@ def _weight(double_level: int, vertex) -> Poly:
 
 def _coordinates(u: AlgebraElement, position: dict[Diagram, int]) -> list[int]:
     """Numerators of u on the indexed diagrams, all over u.den; other
-    terms drop out.  Scaling a row or a column by its denominator moves
-    neither the rank nor the pivot columns, which is all they feed."""
+    terms drop out.  Scaling a row by its denominator keeps the rank and
+    whether the row is zero, which is all specht reads."""
     vec = [0] * len(position)
     for d, v in u.num.items():
         i = position.get(d)
@@ -639,44 +638,30 @@ def basic_construction_iso(
 
 
 def radical_basis(double_rank: int, n) -> list[AlgebraElement]:
-    """Basis of the radical at the first level where a weight vanishes.
+    """Basis of the radical at parameter n, as elements specialized at n.
 
-    Requires every weight strictly below the previous level to be
-    nonzero, so the lower floors are semisimple and their units exist;
-    the un-normalized sandwich elements whose row or column weight
-    ratio vanishes then span the radical.  The span is validated
-    nilpotent before it is returned.
+    In characteristic 0 the radical is the kernel of the regular trace
+    form (Dickson): rad A = {a : tr_reg(ab) = 0 for all b}.  The basis
+    is the null space of gram(double_rank, n), one element per free
+    column of its reduced echelon form: 1 on that diagram and minus the
+    reduced entry on each pivot diagram.  gram caps the double rank and
+    the height of n.
+
+    >>> len(radical_basis(4, 2))
+    5
+    >>> radical_basis(3, 0)
+    []
     """
-    if check("radical_basis", double_rank) < 2:
-        raise BadParams("radical bases start at double rank 2")
     point = parse_parameter(n)
-    t = double_rank
-    graph = _graph(t)
-    for s in range(1, t - 1):
-        for vertex in graph.levels[s]:
-            if _weight(s, vertex)(point) == 0:
-                raise OutOfScopeDepth(
-                    f"weight of {vertex} already vanishes at level {s}/2"
-                )
-    out: list[AlgebraElement] = []
-    for _, paths, left, right in _sandwich_factors(t, point, _build_units(t - 1, point)):
-        for p in paths:
-            for q in paths:
-                if _weight(t - 1, p[-2])(point) == 0 or _weight(t - 1, q[-2])(point) == 0:
-                    out.append(multiply(left[p], right[q]))
-    if not out:
-        return out
-    position = {d: i for i, d in enumerate(_basis(t))}
-    current = out
-    for _ in range(len(out) + 1):
-        # keep the first maximal independent subset: the pivot columns
-        # of the matrix whose columns are the elements' coordinates
-        coords = [_coordinates(u, position) for u in current]
-        current = [current[j] for j in rref(list(zip(*coords)))[1]]
-        if not current:
-            return out
-        current = [multiply(u, r) for u in current for r in out]
-    raise PartalgError("radical span failed nilpotency validation")
+    rows, pivots = rref(gram(double_rank, point, want_det=False).matrix)
+    basis = _basis(double_rank)
+    return [
+        AlgebraElement(
+            double_rank, [(d, 1)] + [(basis[p], -row[f]) for row, p in zip(rows, pivots)], point
+        )
+        for f, d in enumerate(basis)
+        if f not in pivots
+    ]
 
 
 def specht(double_rank: int, lam, witness_n: int | None = None) -> dict:

@@ -7,14 +7,23 @@ from fractions import Fraction
 import pytest
 
 from partalg import combinatorics, diagrams, murphy, structure, symgroup, tensor
+from partalg import algebra
 from partalg.algebra import diagram_element, one
 from partalg.combinatorics import syt_dimension
 from partalg.diagrams import Diagram, enumerate_diagrams
-from partalg.errors import BadParams, BadShape, LimitExceeded, ModeMismatch, PartalgError
+from partalg.errors import (
+    BadParams,
+    BadShape,
+    LimitExceeded,
+    ModeMismatch,
+    PartalgError,
+    RankMismatch,
+)
 from partalg.scalars import parse_rational
 
 P1 = Diagram(2, [[1], [-1]])
 IDENTITY = tensor.EndoMatrix.identity(2, 1)
+ID2 = diagrams.identity_diagram(2)
 
 
 @pytest.mark.parametrize("text", ["x", "1/0", None, "nan", 1.5j])
@@ -63,7 +72,6 @@ OUT_OF_DOMAIN = {
     "p_tilde_s(None, [1])": lambda: murphy.p_tilde_s(None, [1]),
     # lower bounds are domain checks, not caps
     "basic_construction_iso(1, 3)": lambda: structure.basic_construction_iso(1, 3),
-    "radical_basis(1, 3)": lambda: structure.radical_basis(1, 3),
     "matrix_units(-1, 3)": lambda: structure.matrix_units(-1, 3),
 }
 
@@ -72,6 +80,13 @@ OUT_OF_DOMAIN = {
 def test_ranks_out_of_the_domain(call):
     with pytest.raises(BadParams):
         call()
+
+
+def test_radical_basis_at_double_ranks_zero_and_one_is_empty():
+    # A_0(n) and A_{1/2}(n) are one-dimensional and semisimple
+    for dr in (0, 1):
+        for n in (0, 3):
+            assert structure.radical_basis(dr, n) == []
 
 
 UNREADABLE_PARTITIONS = {
@@ -176,6 +191,45 @@ def test_a_cap_names_a_huge_size_without_printing_it():
     # formatting an int of more than 4300 digits raised ValueError
     with pytest.raises(LimitExceeded, match="^kappa: size over 2\\*\\*"):
         symgroup.kappa(10**5000)
+
+
+ALGEBRA_ARGUMENTS = {
+    # each leaked ValueError or TypeError, or was read as another value
+    'element(2, [(d, "a")], 3)': (
+        lambda: algebra.element(2, [(ID2, "a")], Fraction(3)),
+        BadParams,
+    ),
+    'element(2, [(d, "a")])': (lambda: algebra.element(2, [(ID2, "a")]), BadParams),
+    'diagram_element(d, "a", 3)': (lambda: diagram_element(ID2, "a", 3), BadParams),
+    "element(2, [(d, None)], 3)": (
+        lambda: algebra.element(2, [(ID2, None)], Fraction(3)),
+        BadParams,
+    ),
+    "element(2, [(d, None)])": (lambda: algebra.element(2, [(ID2, None)]), BadParams),
+    'one(2, 3).scale("a")': (lambda: one(2, Fraction(3)).scale("a"), BadParams),
+    "one(2, 3).scale(None)": (lambda: one(2, Fraction(3)).scale(None), BadParams),
+    'one(2).scale("a")': (lambda: one(2).scale("a"), BadParams),
+    'ideal_basis("a")': (lambda: algebra.ideal_basis("a"), BadParams),
+    "mobius_coefficient(ranks 2 and 4)": (
+        lambda: algebra.mobius_coefficient(ID2, diagrams.identity_diagram(4)),
+        RankMismatch,
+    ),
+    "embed(one(2), 2.5)": (lambda: algebra.embed(one(2), 2.5), BadParams),  # was rank 3/2
+}
+
+
+@pytest.mark.parametrize("call, error", ALGEBRA_ARGUMENTS.values(), ids=ALGEBRA_ARGUMENTS.keys())
+def test_algebra_arguments_that_cannot_be_read(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_float_coefficients_keep_their_values():
+    # Fraction() reads a float exactly; a generic scale by a float
+    # leaked TypeError
+    assert diagram_element(ID2, 0.5, Fraction(3)).coeff(ID2) == Fraction(1, 2)
+    assert one(2).scale(2.5) == diagram_element(ID2, Fraction(5, 2))
+    assert one(2, Fraction(3)).scale(0.25).coeff(ID2) == Fraction(1, 4)
 
 
 COMBINATORICS_ARGUMENTS = {

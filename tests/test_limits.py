@@ -8,8 +8,17 @@ import pytest
 
 from partalg import combinatorics, structure
 from partalg.combinatorics import hooks_and_contents, syt_dimension
-from partalg.algebra import AlgebraElement, one, specialize
-from partalg.diagrams import Diagram, enumerate_diagrams, generator
+from partalg.algebra import (
+    AlgebraElement,
+    coarsenings,
+    from_orbit_basis,
+    one,
+    orbit_element,
+    refinements,
+    specialize,
+    to_orbit_basis,
+)
+from partalg.diagrams import Diagram, enumerate_diagrams, generator, identity_diagram
 from partalg.errors import BadParams, LimitExceeded
 from partalg.limits import LIMITS, check
 from partalg.murphy import (
@@ -50,6 +59,8 @@ SIDE = CAP["tensor_side"] + 1
 # Built before any allocation is traced.
 ONE_PAST_SYMMETRIZE = one(CAP["symmetrize"] + 1, Fraction(3))
 ONE_PAST_ENUMERATE = one(CAP["enumerate_diagrams"] + 1)
+ORBIT_PAST = identity_diagram(CAP["orbit_basis"] + 1)
+ONE_PAST_ORBIT = one(CAP["orbit_basis"] + 1)
 P1 = Diagram(2, [[1], [-1]])
 # Parameters one bit past the height cap: a fraction and an integer.
 TALL = Fraction(1, 2 ** CAP["parameter_bits"] - 1)
@@ -62,7 +73,10 @@ PAST_CAP = {
         lambda: enumerate_diagrams(CAP["enumerate_diagrams"] + 1),
         lambda: regular_trace(ONE_PAST_ENUMERATE),
     ],
-    "gram": [lambda: gram(CAP["gram"] + 1, 3)],
+    "gram": [
+        lambda: gram(CAP["gram"] + 1, 3),
+        lambda: radical_basis(CAP["gram"] + 1, 2),
+    ],
     "gram_generic_det": [lambda: gram(CAP["gram_generic_det"] + 1, None)],
     "semisimple_verdict": [lambda: semisimple_verdict(CAP["semisimple_verdict"] + 1, 3)],
     "matrix_units": [lambda: matrix_units(CAP["matrix_units"] + 1, 3)],
@@ -74,7 +88,6 @@ PAST_CAP = {
             2, 3, quadruples=CAP["basic_construction_quadruples"] + 1
         )
     ],
-    "radical_basis": [lambda: radical_basis(CAP["radical_basis"] + 1, 2)],
     "specht": [lambda: specht(CAP["specht"] + 1, ())],
     "symmetrize": [
         lambda: symmetrize(ONE_PAST_SYMMETRIZE, CAP["symmetrize"] + 1, 3)
@@ -90,6 +103,13 @@ PAST_CAP = {
         lambda: generator("s", 1, CAP["diagram"] + 1),
         lambda: b_s(CAP["diagram"] + 1, [1, 2]),
         lambda: d_i(CAP["diagram"] + 1, [1, 2], [1]),
+    ],
+    "orbit_basis": [
+        lambda: refinements(ORBIT_PAST),
+        lambda: coarsenings(ORBIT_PAST),
+        lambda: to_orbit_basis(ONE_PAST_ORBIT),
+        lambda: from_orbit_basis({ORBIT_PAST: 1}, CAP["orbit_basis"] + 1),
+        lambda: orbit_element(ORBIT_PAST),
     ],
     "verify_murphy": [lambda: verify_murphy(CAP["verify_murphy"] + 1, [2])],
     # the unit is the sum of the witnesses' n
@@ -236,6 +256,16 @@ def test_benchmark_sizes_are_admitted(monkeypatch):
     for n in (2, 3, 4, 5):
         with pytest.raises(Admitted):
             structure.semisimple_verdict(6, n)
+
+
+def test_orbit_basis_cap_is_admitted():
+    # the identity at the cap has 5 blocks of 2: 2**5 refinements and
+    # Bell(5) coarsenings
+    cap = CAP["orbit_basis"]
+    e = identity_diagram(cap)
+    assert len(refinements(e)) == 32
+    assert len(coarsenings(e)) == len(orbit_element(e).num) == 52
+    assert from_orbit_basis(to_orbit_basis(one(cap)), cap) == one(cap)
 
 
 def test_hook_box_cap_is_admitted(monkeypatch):

@@ -31,9 +31,12 @@ from partalg.diagrams import (
     propagating_number,
 )
 from partalg.errors import NotSemisimple
-from partalg.linalg import PRIME, rank, singular
+from partalg.linalg import PRIME, rank, rref, singular
 from partalg.scalars import Poly
 from partalg.structure import (
+    _build_units,
+    _sandwich_factors,
+    _weight,
     basic_construction_iso,
     char_decomposition_check,
     gram,
@@ -221,6 +224,70 @@ def test_radical_dimension_is_gram_nullity():
         nullity = size - rank(gram(dr, n, want_det=False).matrix)
         assert nullity > 0
         assert len(radical_basis(dr, n)) == nullity
+
+
+def _sandwich_radical(double_rank: int, n) -> list[AlgebraElement]:
+    """The radical at the first level where a tower weight vanishes, by
+    the sandwich route: the products left[p] * right[q] of the units one
+    level down whose row or column weight vanishes at n."""
+    point = Fraction(n)
+    out = []
+    for _, paths, left, right in _sandwich_factors(
+        double_rank, point, _build_units(double_rank - 1, point)
+    ):
+        for p in paths:
+            for q in paths:
+                weights = (_weight(double_rank - 1, w[-2])(point) for w in (p, q))
+                if not all(weights):
+                    out.append(multiply(left[p], right[q]))
+    return out
+
+
+def _span_rank(elements, double_rank: int) -> int:
+    """Rank of the specialized elements' distinct numerator rows:
+    scaling a row by its denominator keeps the rank."""
+    basis = list(enumerate_diagrams(double_rank))
+    rows = {tuple(u.num.get(d, 0) for d in basis) for u in elements}
+    return rank(list(rows)) if rows else 0
+
+
+@pytest.mark.parametrize("dr, n", ((2, 0), (3, 1), (4, 2)))
+def test_radical_is_the_span_of_the_sandwich_route(dr, n):
+    oracle = _sandwich_radical(dr, n)
+    kernel = radical_basis(dr, n)
+    assert _span_rank(kernel, dr) == len(kernel) > 0
+    assert _span_rank(oracle, dr) == _span_rank(oracle + kernel, dr) == len(kernel)
+
+
+@pytest.mark.parametrize("dr, n", ((4, 0), (4, 1), (5, 1), (5, 2), (5, 3)))
+def test_radical_is_a_nilpotent_ideal_where_the_sandwich_route_cannot_reach(dr, n):
+    kernel = radical_basis(dr, n)
+    size = _span_rank(kernel, dr)
+    assert size == len(kernel) > 0
+    diagrams = [diagram_element(d, 1, Fraction(n)) for d in enumerate_diagrams(dr)]
+    products = [multiply(g, u) for u in kernel for g in diagrams]
+    products += [multiply(u, g) for u in kernel for g in diagrams]
+    assert _span_rank(kernel + products, dr) == size
+    # products of three: each independent product of two, times each
+    # basis element, vanishes (scaling a column keeps the pivots)
+    pairs = [multiply(u, v) for u in kernel for v in kernel]
+    basis = list(enumerate_diagrams(dr))
+    columns_of_pairs = [[w.num.get(d, 0) for w in pairs] for d in basis]
+    independent = [pairs[j] for j in rref(columns_of_pairs)[1]]
+    assert all(multiply(w, u).is_zero() for w in independent for u in kernel)
+
+
+@pytest.mark.parametrize("dr", range(2, 6))
+def test_radical_vanishes_exactly_when_the_cell_forms_are_nondegenerate(dr):
+    for n in range(2, 8):
+        assert (radical_basis(dr, n) == []) == semisimple_verdict(dr, n)["by_gram"]
+
+
+def test_radical_dimensions_at_n_zero_and_one():
+    # A_{k+1/2}(0) is semisimple
+    assert radical_basis(3, 0) == radical_basis(5, 0) == []
+    assert len(radical_basis(4, 0)) == 9
+    assert [len(radical_basis(6, n)) for n in (0, 1)] == [111, 44]
 
 
 def test_char_decomposition():
