@@ -24,6 +24,7 @@ from math import factorial, gcd, lcm
 
 from .diagrams import (
     Diagram,
+    _checked_diagram,
     _rg_strings,
     closure_components,
     columns,
@@ -96,8 +97,8 @@ def _generic_terms(double_rank: int, pairs) -> dict[Diagram, Scalar]:
     # exactly when it is zero
     cleaned: dict[Diagram, Scalar] = {}
     for d, c in pairs:
-        if d.double_rank != double_rank:
-            raise RankMismatch("term rank differs from element rank")
+        if type(d) is not Diagram or d.double_rank != double_rank:
+            _refuse_term(d)
         if type(c) is not Poly:
             c = _norm_coeff(c, None)
         if c:
@@ -113,14 +114,19 @@ def _generic_terms(double_rank: int, pairs) -> dict[Diagram, Scalar]:
     return cleaned
 
 
+def _refuse_term(d) -> None:
+    _checked_diagram(d)
+    raise RankMismatch("term rank differs from element rank")
+
+
 def _specialized_terms(double_rank: int, pairs, mode: Fraction) -> tuple[dict[Diagram, int], int]:
     """The summed coefficients as nonzero ints over one positive
     denominator, in lowest terms."""
     sums: dict[Diagram, int] = {}
     den = 1
     for d, c in pairs:
-        if d.double_rank != double_rank:
-            raise RankMismatch("term rank differs from element rank")
+        if type(d) is not Diagram or d.double_rank != double_rank:
+            _refuse_term(d)
         if type(c) is not int and type(c) is not Fraction:
             c = _norm_coeff(c, mode)
         p, q = c.as_integer_ratio()
@@ -156,7 +162,8 @@ class AlgebraElement:
     ``num`` over one positive int ``den``, in lowest terms (gcd(den,
     *num.values()) == 1), so equal elements store equal numerators and
     denominators and their sums, scalings and products run on ints.
-    The constructor takes ints, Fractions and values Fraction() parses.
+    The constructor takes ints, Fractions and values Fraction() parses,
+    and reads a mode other than None with ``parse_parameter``.
     A generic element stores its Poly or RatFunc coefficients in ``num``
     over ``den`` 1.  ``terms`` shows the coefficients by diagram, as
     Fractions in specialized mode.
@@ -181,6 +188,7 @@ class AlgebraElement:
             self.num = _generic_terms(double_rank, pairs)
             self.den = 1
         else:
+            mode = parse_parameter(mode)
             self.num, self.den = _specialized_terms(double_rank, pairs, mode)
         self.double_rank = double_rank
         self.mode = mode
@@ -206,7 +214,7 @@ class AlgebraElement:
         return (
             isinstance(other, AlgebraElement)
             and self.double_rank == other.double_rank
-            and self.mode == other.mode
+            and (self.mode is other.mode or self.mode == other.mode)
             and self.den == other.den
             and self.num == other.num
         )
@@ -217,7 +225,7 @@ class AlgebraElement:
     def _check_compatible(self, other: AlgebraElement) -> None:
         if self.double_rank != other.double_rank:
             raise RankMismatch("element ranks differ")
-        if self.mode != other.mode:
+        if self.mode is not other.mode and self.mode != other.mode:
             raise ModeMismatch("element modes differ")
 
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
@@ -414,9 +422,14 @@ def _multiply_poly(double_rank: int, left, da: int, right, db: int) -> AlgebraEl
     den = da * db
     terms = {}
     for d, acc in sums.items():
-        c = Poly(acc if den == 1 else [Fraction(s, den) for s in acc])
-        if c:
-            terms[d] = c
+        while acc and not acc[-1]:
+            acc.pop()
+        if not acc:
+            continue
+        if den == 1:
+            terms[d] = Poly._from_ints(tuple(acc))
+        else:
+            terms[d] = Poly([Fraction(s, den) for s in acc])
     return _trusted(double_rank, terms, 1, None)
 
 
@@ -463,7 +476,7 @@ def refinements(d: Diagram) -> list[Diagram]:
     one block.  There are up to Bell(double rank) of them, so the double
     rank is capped, as for every orbit-basis entry, in partalg.limits.
     """
-    k2 = columns(check("orbit_basis", d.double_rank))
+    k2 = columns(check("orbit_basis", _checked_diagram(d).double_rank))
     twin = -k2 if d.double_rank % 2 else 0
     splits = [_set_partitions([v for v in block if v != twin]) for block in d.blocks]
     return [
@@ -479,7 +492,7 @@ def coarsenings(d: Diagram) -> list[Diagram]:
     """All diagrams above d in the coarsening order (blocks merged).
     Every orbit-basis map goes through here, and shares the cap of
     refinements."""
-    check("orbit_basis", d.double_rank)
+    check("orbit_basis", _checked_diagram(d).double_rank)
     return [
         Diagram(d.double_rank, [[v for b in group for v in b] for group in groups])
         for groups in _set_partitions(d.blocks)
@@ -507,6 +520,8 @@ def to_orbit_basis(a: AlgebraElement) -> dict[Diagram, Scalar]:
     """Coefficients of a on the orbit basis: each diagram is the sum of
     the orbit elements of all its coarsenings, so that the orbit element
     of d captures labelings whose equality pattern is exactly d."""
+    if not isinstance(a, AlgebraElement):
+        raise BadParams(f"need an AlgebraElement, not {a!r}")
     pairs = ((coarser, c) for d, c in a.terms.items() for coarser in coarsenings(d))
     return AlgebraElement(a.double_rank, pairs, a.mode).terms
 

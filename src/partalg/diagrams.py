@@ -34,6 +34,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import (
+    BadParams,
     HalfIntegerConstraintViolated,
     IndexOutOfRange,
     NonIntegerRank,
@@ -170,6 +171,12 @@ def _diagram(double_rank: int, labels: tuple[int, ...]) -> Diagram:
     return d
 
 
+def _checked_diagram(d) -> Diagram:
+    if not isinstance(d, Diagram):
+        raise BadParams(f"need a Diagram, not {d!r}")
+    return d
+
+
 def make_diagram(double_rank: int, blocks) -> Diagram:
     """Builds and canonicalizes a diagram from raw vertex lists."""
     return Diagram(double_rank, blocks)
@@ -180,79 +187,77 @@ def identity_diagram(double_rank: int) -> Diagram:
     return Diagram(double_rank, [[i, -i] for i in range(1, k2 + 1)])
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        """Joins the sets of a and b; True if they were apart."""
-        # find inlined twice: compose calls this once per middle vertex
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        while p[b] != b:
-            p[b] = p[p[b]]
-            b = p[b]
-        if a == b:
-            return False
-        p[b] = a
-        return True
-
-
 @lru_cache(maxsize=1 << 18)
 def compose(d1: Diagram, d2: Diagram) -> tuple[Diagram, int]:
     """Stacks d1 above d2.
 
     Returns (d1 d2, removed) where removed counts the connected
     components of the stacked picture that touch neither the top rim of
-    d1 nor the bottom rim of d2.  Results are memoized; products of the
-    same pair dominate whole-algebra computations.  A pair of different
-    ranks raises RankMismatch on every call, since exceptions are not
-    cached; ``compose.__wrapped__`` is the uncached body.
+    d1 nor the bottom rim of d2.  The body keeps one flat parent list
+    over the blocks of d1, then those of d2; at each middle position it
+    walks both roots and links the larger under the smaller, so a root
+    is the least node of its component.  The rim is relabelled in vertex
+    order by its roots, and removed is the component count less the
+    roots the rim reaches.  Results are memoized; products of the same
+    pair dominate whole-algebra computations.  A pair of different ranks
+    raises RankMismatch on every call, since exceptions are not cached;
+    ``compose.__wrapped__`` is the uncached body.
     """
     if d1.double_rank != d2.double_rank:
         raise RankMismatch(f"ranks {d1.double_rank}/2 and {d2.double_rank}/2 differ")
-    # union-find over the blocks of d1 (nodes 0..b1-1) and of d2 (nodes
-    # b1..), joined where the bottom of d1 meets the top of d2; the rim
-    # is relabelled in vertex order, and the components it does not
-    # reach are the removed ones
     k2 = columns(d1.double_rank)
     l1, l2 = d1.labels, d2.labels
     b1 = len(d1.blocks)
-    components = b1 + len(d2.blocks)
-    uf = _UnionFind(components)
+    nodes = b1 + len(d2.blocks)
+    parent = list(range(nodes))
+    joins = 0
     for m in range(k2):
-        if uf.union(l1[k2 + m], b1 + l2[m]):
-            components -= 1
-    find = uf.find
+        a = l1[k2 + m]
+        while parent[a] != a:
+            a = parent[a]
+        b = b1 + l2[m]
+        while parent[b] != b:
+            b = parent[b]
+        if a < b:
+            parent[b] = a
+            joins += 1
+        elif b < a:
+            parent[a] = b
+            joins += 1
     relabel: dict[int, int] = {}
-    rim = [relabel.setdefault(find(label), len(relabel)) for label in l1[:k2]]
-    rim += [relabel.setdefault(find(b1 + label), len(relabel)) for label in l2[k2:]]
-    return _diagram(d1.double_rank, tuple(rim)), components - len(relabel)
+    rim = []
+    for a in l1[:k2]:
+        while parent[a] != a:
+            a = parent[a]
+        rim.append(relabel.setdefault(a, len(relabel)))
+    for b in l2[k2:]:
+        b += b1
+        while parent[b] != b:
+            b = parent[b]
+        rim.append(relabel.setdefault(b, len(relabel)))
+    return _diagram(d1.double_rank, tuple(rim)), nodes - joins - len(relabel)
 
 
 def closure_components(d: Diagram) -> int:
     """Components of d after joining each top vertex to its bottom twin.
 
-    The diagram trace of d is the parameter raised to this count.
+    The diagram trace of d is the parameter raised to this count.  The
+    parent list runs over the blocks of d, linked as in ``compose``.
     """
     k2 = columns(d.double_rank)
-    # node ids: column i is node i-1 in both rows
-    uf = _UnionFind(k2)
-    for block in d.blocks:
-        for v in block[1:]:
-            uf.union(abs(block[0]) - 1, abs(v) - 1)
-    return len({uf.find(node) for node in range(k2)})
+    labels = d.labels
+    parent = list(range(len(d.blocks)))
+    components = len(parent)
+    for m in range(k2):
+        a, b = labels[m], labels[k2 + m]
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+            components -= 1
+    return components
 
 
 def propagating_number(d: Diagram) -> int:

@@ -109,6 +109,14 @@ class Poly:
         if denominator != 1:
             object.__setattr__(self, "denominator", denominator)
 
+    @classmethod
+    def _from_ints(cls, coeffs: tuple[int, ...]) -> Poly:
+        """The Poly of these int coefficients, which the caller
+        guarantees end in a nonzero one; nothing is checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
+
     @staticmethod
     def const(c) -> Poly:
         return Poly((c,))

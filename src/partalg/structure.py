@@ -79,7 +79,15 @@ from .errors import (
     VertexNotFound,
 )
 from .limits import _nonnegative, check
-from .linalg import bareiss_det, invert, rank as matrix_rank, rref, singular
+from .linalg import (
+    _eliminate_mod_p,
+    _integer_row,
+    bareiss_det,
+    invert,
+    rank as matrix_rank,
+    rref,
+    singular,
+)
 from .scalars import Poly, RatFunc, Scalar, parse_parameter
 from .symgroup import MatrixUnitSystem, sym_matrix_units, young_elements
 
@@ -644,8 +652,10 @@ def radical_basis(double_rank: int, n) -> list[AlgebraElement]:
     form (Dickson): rad A = {a : tr_reg(ab) = 0 for all b}.  The basis
     is the null space of gram(double_rank, n), one element per free
     column of its reduced echelon form: 1 on that diagram and minus the
-    reduced entry on each pivot diagram.  gram caps the double rank and
-    the height of n.
+    reduced entry on each pivot diagram.  A Gram matrix of full rank
+    mod linalg.PRIME has full rank over Q, so its kernel is empty
+    without the elimination over Q.  gram caps the double rank and the
+    height of n.
 
     >>> len(radical_basis(4, 2))
     5
@@ -653,7 +663,10 @@ def radical_basis(double_rank: int, n) -> list[AlgebraElement]:
     []
     """
     point = parse_parameter(n)
-    rows, pivots = rref(gram(double_rank, point, want_det=False).matrix)
+    matrix = gram(double_rank, point, want_det=False).matrix
+    if len(_eliminate_mod_p([_integer_row(row) for row in matrix])) == len(matrix):
+        return []
+    rows, pivots = rref(matrix)
     basis = _basis(double_rank)
     return [
         AlgebraElement(

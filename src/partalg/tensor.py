@@ -31,7 +31,7 @@ from operator import mul
 
 from .algebra import AlgebraElement, multiply
 from .combinatorics import build_bratteli, counting, syt_dimension
-from .diagrams import Diagram, columns, enumerate_diagrams
+from .diagrams import Diagram, _checked_diagram, columns, enumerate_diagrams
 from .errors import BadParams, PartalgError, RankMismatch
 from .limits import check
 
@@ -292,12 +292,6 @@ def phi_orbit(d: Diagram, n: int) -> EndoMatrix:
     pattern matches the blocks of d exactly (distinct labels on
     distinct blocks)."""
     return _indicator(_checked_diagram(d), n, True)
-
-
-def _checked_diagram(d) -> Diagram:
-    if not isinstance(d, Diagram):
-        raise BadParams(f"need a Diagram, not {d!r}")
-    return d
 
 
 def _indicator(d: Diagram, n: int, distinct: bool) -> EndoMatrix:

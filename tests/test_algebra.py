@@ -389,6 +389,25 @@ def _assert_canonical(value):
         assert type(value) is Fraction
 
 
+def test_generic_products_drop_cancelled_top_degrees_and_zero_sums():
+    e, p = identity_diagram(2), generator("p", 1, 2)
+    # (e + p)(x e - p) = x e - p + x p - x p: p keeps only its constant
+    product = multiply(AlgebraElement(2, {e: 1, p: 1}), AlgebraElement(2, {e: X, p: -1}))
+    assert product.num == {e: X, p: Poly((-1,))}
+    # (x e - p1)(p1 + p2) = x p1 + x p2 - x p1 - p1 p2: p1 sums to zero
+    e2, p1, p2 = identity_diagram(4), generator("p", 1, 4), generator("p", 2, 4)
+    cancelled = multiply(AlgebraElement(4, {e2: X, p1: -1}), AlgebraElement(4, {p1: 1, p2: 1}))
+    assert cancelled.num == {p2: X, compose(p1, p2)[0]: Poly((-1,))}
+    assert multiply(AlgebraElement(4, {e2: X, p1: -1}), elem(p1)).is_zero()
+    for c in [*product.num.values(), *cancelled.num.values()]:
+        assert c.coeffs[-1] != 0
+        assert c.denominator == 1
+        assert c == Poly(c.coeffs)
+    # over a common denominator the product goes through Poly itself
+    halves = multiply(AlgebraElement(2, {e: Fraction(1, 2), p: Fraction(1, 2)}), product)
+    assert halves.num == {e: X * Fraction(1, 2), p: Poly((Fraction(-1, 2),))}
+
+
 def _cancelling_pair(diagrams, rng):
     """(d1, e2, r2, e3, r3) with d1 composed over e2 and over e3 the same
     diagram, for e2 != e3, with removed-component counts r2 and r3."""

@@ -215,6 +215,17 @@ ALGEBRA_ARGUMENTS = {
         RankMismatch,
     ),
     "embed(one(2), 2.5)": (lambda: algebra.embed(one(2), 2.5), BadParams),  # was rank 3/2
+    # a mode was never parsed: one(2, "a") was accepted, and its
+    # products leaked AttributeError
+    'one(2, "a")': (lambda: one(2, "a"), BadParams),
+    'zero(2, "a")': (lambda: algebra.zero(2, "a"), BadParams),
+    "one(2, 2**9)": (lambda: one(2, 2**9), LimitExceeded),
+    # each leaked AttributeError
+    'element(2, [("x", 1)])': (lambda: algebra.element(2, [("x", 1)]), BadParams),
+    'element(2, [("x", 1)], 3)': (lambda: algebra.element(2, [("x", 1)], 3), BadParams),
+    'refinements("x")': (lambda: algebra.refinements("x"), BadParams),
+    'coarsenings("x")': (lambda: algebra.coarsenings("x"), BadParams),
+    'to_orbit_basis("x")': (lambda: algebra.to_orbit_basis("x"), BadParams),
 }
 
 
@@ -222,6 +233,15 @@ ALGEBRA_ARGUMENTS = {
 def test_algebra_arguments_that_cannot_be_read(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_modes_are_read_as_parameters():
+    assert one(2, 2.5).mode == Fraction(5, 2)
+    assert type(one(2, 3).mode) is Fraction
+    assert one(2, "3/6") == one(2, Fraction(1, 2))
+    # a diagram of another rank is still a rank mismatch
+    with pytest.raises(RankMismatch):
+        algebra.element(2, [(diagrams.identity_diagram(4), 1)], 3)
 
 
 def test_float_coefficients_keep_their_values():

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from conftest import brute_partitions, partition_key
 from partalg.diagrams import (
     Diagram,
     classify,
+    closure_components,
     coarsens,
+    columns,
     compose,
     enumerate_diagrams,
     evaluate_word,
@@ -28,6 +31,7 @@ from partalg.diagrams import (
     propagating_number,
     token_str,
     verify_presentation,
+    vertex_universe,
 )
 from partalg.errors import (
     HalfIntegerConstraintViolated,
@@ -414,6 +418,47 @@ def test_compose_matches_block_oracle_on_seeded_pairs(double_rank):
     basis = list(enumerate_diagrams(double_rank))
     for _ in range(400):
         _assert_compose_matches_oracle(rng.choice(basis), rng.choice(basis))
+
+
+@pytest.mark.parametrize("double_rank", [7, 8])
+def test_compose_matches_block_oracle_on_long_middle_chains(double_rank):
+    # propagating number K - 1 or K on both sides: most middle vertices
+    # chain a block of d1 to a block of d2 and on to the next
+    k2 = columns(double_rank)
+    rng = random.Random(double_rank)
+    basis = [d for d in enumerate_diagrams(double_rank) if propagating_number(d) >= k2 - 1]
+    for _ in range(500):
+        _assert_compose_matches_oracle(rng.choice(basis), rng.choice(basis))
+
+
+def _closure_oracle(d):
+    """Components of the vertex graph with an edge along each block and
+    from each i to -i, counted by breadth-first search."""
+    adjacent = {v: [-v] for v in vertex_universe(d.double_rank)}
+    for block in d.blocks:
+        for u, v in zip(block, block[1:]):
+            adjacent[u].append(v)
+            adjacent[v].append(u)
+    seen = set()
+    count = 0
+    for start in adjacent:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            for v in adjacent[queue.popleft()]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+    return count
+
+
+@pytest.mark.parametrize("double_rank", range(7))
+def test_closure_components_match_vertex_graph_oracle(double_rank):
+    for d in enumerate_diagrams(double_rank):
+        assert closure_components(d) == _closure_oracle(d)
 
 
 def _is_restricted_growth(labels):
