@@ -79,15 +79,8 @@ from .errors import (
     VertexNotFound,
 )
 from .limits import _nonnegative, check
-from .linalg import (
-    _eliminate_mod_p,
-    _integer_row,
-    bareiss_det,
-    invert,
-    rank as matrix_rank,
-    rref,
-    singular,
-)
+from .linalg import _eliminate_mod_p, _integer_row, bareiss_det, invert, rref, singular
+from .linalg import rank as matrix_rank
 from .scalars import Poly, RatFunc, Scalar, parse_parameter
 from .symgroup import MatrixUnitSystem, sym_matrix_units, young_elements
 
