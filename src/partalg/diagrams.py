@@ -105,7 +105,7 @@ class Diagram:
     __slots__ = ("double_rank", "labels", "blocks")
 
     def __new__(cls, double_rank: int, blocks):
-        k2 = columns(double_rank)
+        k2 = columns(check("diagram", double_rank))
         owner: dict[int, int] = {}
         for i, block in enumerate(blocks):
             part = tuple(block)
@@ -183,7 +183,7 @@ def make_diagram(double_rank: int, blocks) -> Diagram:
 
 
 def identity_diagram(double_rank: int) -> Diagram:
-    k2 = columns(double_rank)
+    k2 = columns(check("diagram", double_rank))
     return Diagram(double_rank, [[i, -i] for i in range(1, k2 + 1)])
 
 
@@ -374,7 +374,11 @@ def evaluate_word(word: Sequence[Token], double_rank: int) -> Diagram:
     """Monoid product of generator tokens, top to bottom; removed
     components are ignored."""
     result = identity_diagram(double_rank)
-    for kind, idx in word:
+    try:
+        tokens = [(kind, idx) for kind, idx in word]
+    except (TypeError, ValueError):
+        raise IndexOutOfRange(f"{word!r} is not a word of (kind, index) tokens") from None
+    for kind, idx in tokens:
         result, _ = compose(result, generator(kind, idx, double_rank))
     return result
 
@@ -557,8 +561,9 @@ def presentation_relations(double_rank: int) -> list[tuple[str, list[Token], lis
     under monoid evaluation.  Covers idempotents and sandwich rules for
     the join and break families, symmetric-group relations, the seven
     mixed rules, and four consequences used downstream.
+    partalg.limits caps the double rank.
     """
-    k2 = columns(double_rank)
+    k2 = columns(check("presentation", double_rank))
     half = double_rank % 2 == 1
     s_max = k2 - 1 - (1 if half else 0)
     ps = _p_indices(double_rank)
@@ -630,7 +635,8 @@ def presentation_relations(double_rank: int) -> list[tuple[str, list[Token], lis
 
 
 def verify_presentation(double_rank: int) -> list[str]:
-    """Names of relation instances that fail under monoid evaluation."""
+    """Names of relation instances that fail under monoid evaluation;
+    partalg.limits caps the double rank."""
     failures = []
     for name, lhs, rhs in presentation_relations(double_rank):
         if evaluate_word(lhs, double_rank) != evaluate_word(rhs, double_rank):

@@ -15,7 +15,10 @@ from .errors import BadParams, LimitExceeded
 __all__ = ["LIMITS", "check"]
 
 LIMITS = {
-    "enumerate_diagrams": 8,  # double rank; 4140 diagrams, 0.06 s
+    # double rank; 4140 diagrams, 0.06 s; it also bounds
+    # basic_construction_iso, whose (8, n) for n = 3, 0 and 1/127 took
+    # 2.2-2.4 s and 21 MB
+    "enumerate_diagrams": 8,
     "gram": 6,  # double rank; gram(6, -5/7) with det, 4.9 s
     # double rank; gram(4, None, "diagram"), 0.13 s; gram(5, None,
     # "diagram") took 9.8-9.9 s, no margin under the budget
@@ -25,10 +28,6 @@ LIMITS = {
     # and 3,720 at 12, which was not run
     "semisimple_verdict": 11,
     "matrix_units": 4,  # double rank; matrix_units(4, 5), 0.01 s
-    "basic_construction_iso": 5,  # double rank; at n = 1/2, 0.04 s
-    # sampled quadruples of basic_construction_iso; at double rank 5
-    # and n = -5/7, 50,000 of them take 6.0 s
-    "basic_construction_quadruples": 50_000,
     "specht": 4,  # double rank; specht(4, (2,)), 0.01 s
     # double rank; symmetrize(one, 5, n) at n = 7/3, -3/61 and 1/127,
     # 0.04-0.06 s; at 6, 4.1-4.2 s for 7/3 but 15.0-15.2 s for -3/61 and
@@ -37,10 +36,15 @@ LIMITS = {
     # double rank of Z, M, murphy_family and of the sums p_s and
     # p_tilde_s; murphy_family(8), 0.16 s
     "murphy_family": 8,
-    # double rank of one diagram built by generator, b_s or d_i, in
-    # time and memory linear in the rank; generator("s", 1, 100000)
-    # 0.41 s and 35 MB, at 10**6 5.6 s and 332 MB
+    # double rank of one diagram built by Diagram, identity_diagram,
+    # generator, b_s or d_i, in time and memory linear in the rank;
+    # generator("s", 1, 100000) 0.41 s and 35 MB, at 10**6 5.6 s and
+    # 332 MB
     "diagram": 100_000,
+    # double rank of presentation_relations and verify_presentation;
+    # verify_presentation(96), 11,656 relations, 4.8-5.1 s and 94 MB;
+    # at 128 10.9-11.2 s
+    "presentation": 96,
     # double rank of refinements, coarsenings, to_orbit_basis,
     # from_orbit_basis and orbit_element, which make up to Bell(double
     # rank) diagrams per term; at 10, refinements of the one-block
@@ -78,7 +82,7 @@ LIMITS = {
     "homomorphism_check_entries": 3_280_500,
     # height of a parameter n: bit lengths of numerator and denominator
     # added; gram(6, -3/61) with det 7.7-8.3 s, gram(6, 1/127) 8.0 s,
-    # basic_construction_iso(5, -1/127) with 50,000 quadruples 7.0 s;
+    # basic_construction_iso(8, 1/127) 2.2-2.3 s;
     # at 9 bits gram(6, 1/255) took 9.2 s, at 10 gram(6, 1/511) 10.4 s
     "parameter_bits": 8,
 }

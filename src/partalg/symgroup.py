@@ -21,7 +21,7 @@ from .combinatorics import _validate, partitions_of, syt_dimension
 from .diagrams import permutation_diagram
 from .errors import BadParams, SizeMismatch
 from .limits import _nonnegative, check
-from .scalars import parse_rational
+from .scalars import parse_parameter
 
 __all__ = [
     "Permutation",
@@ -129,8 +129,9 @@ def _point(v, size: int) -> int:
 
 
 def _read_mode(mode) -> Mode:
-    """None for the generic parameter, else mode as a Fraction."""
-    return None if mode is None else parse_rational(mode)
+    """None for the generic parameter, else mode as a Fraction of
+    capped height."""
+    return None if mode is None else parse_parameter(mode)
 
 
 def transposition(a: int, b: int, size: int) -> Permutation:

@@ -14,6 +14,7 @@ from partalg.diagrams import Diagram, enumerate_diagrams
 from partalg.errors import (
     BadParams,
     BadShape,
+    IndexOutOfRange,
     LimitExceeded,
     ModeMismatch,
     PartalgError,
@@ -57,9 +58,6 @@ OUT_OF_DOMAIN = {
     "enumerate_diagrams(-2)": lambda: list(enumerate_diagrams(-2)),  # yielded Diagram(0, ())
     "commutant_dims(2, -1)": lambda: tensor.commutant_dims(2, -1),  # returned (1, 0, [])
     "Z(2.5)": lambda: murphy.Z(2.5),  # leaked TypeError
-    "basic_construction_iso seed=[1]": lambda: structure.basic_construction_iso(
-        2, 3, seed=[1]
-    ),  # leaked TypeError from random.Random
     "homomorphism_check seed=[1]": lambda: tensor.homomorphism_check(
         2, 2, 3, seed=[1]
     ),  # leaked TypeError from random.Random
@@ -87,6 +85,26 @@ def test_radical_basis_at_double_ranks_zero_and_one_is_empty():
     for dr in (0, 1):
         for n in (0, 3):
             assert structure.radical_basis(dr, n) == []
+
+
+DIAGRAM_ARGUMENTS = {
+    "presentation_relations(-1)": (lambda: diagrams.presentation_relations(-1), BadParams),  # returned []
+    # each leaked TypeError or ValueError
+    "verify_presentation(2.5)": (lambda: diagrams.verify_presentation(2.5), BadParams),
+    'evaluate_word("ab", 2)': (lambda: diagrams.evaluate_word("ab", 2), IndexOutOfRange),
+    "evaluate_word(None, 2)": (lambda: diagrams.evaluate_word(None, 2), IndexOutOfRange),
+    "one(2.5)": (lambda: one(2.5), BadParams),
+    "Diagram(2.5, [[1, -1]])": (lambda: Diagram(2.5, [[1, -1]]), BadParams),
+    "Diagram(True, [[1, -1]])": (lambda: Diagram(True, [[1, -1]]), BadParams),  # was accepted
+    # took 4.0 s and 756 MB
+    "identity_diagram(2 * 10**6)": (lambda: diagrams.identity_diagram(2 * 10**6), LimitExceeded),
+}
+
+
+@pytest.mark.parametrize("call, error", DIAGRAM_ARGUMENTS.values(), ids=DIAGRAM_ARGUMENTS.keys())
+def test_diagram_arguments_that_cannot_be_read(call, error):
+    with pytest.raises(error):
+        call()
 
 
 UNREADABLE_PARTITIONS = {
@@ -320,18 +338,6 @@ ENTRIES = [
     _entry("matrix_units", structure.matrix_units, (2, 3), (0, 1)),
     _entry("char_decomposition_check", structure.char_decomposition_check, (2, 3), (0, 1)),
     _entry("basic_construction_iso", structure.basic_construction_iso, (2, 3), (0, 1)),
-    _entry(
-        "basic_construction_quadruples",
-        lambda q: structure.basic_construction_iso(2, 3, quadruples=q),
-        (4,),
-        (0,),
-    ),
-    _entry(
-        "basic_construction_seed",
-        lambda s: structure.basic_construction_iso(2, 3, seed=s),
-        (0,),
-        (0,),
-    ),
     _entry("radical_basis", structure.radical_basis, (2, 0), (0, 1)),
     _entry("specht", structure.specht, (2, (1,), 3), (0, 2)),
     _entry(
@@ -345,6 +351,9 @@ ENTRIES = [
     ),
     _entry("symmetrize", structure.symmetrize, (one(2, Fraction(3)), 2, 3), (1, 2)),
     _entry("generator", diagrams.generator, ("s", 1, 4), (1, 2)),
+    _entry("identity_diagram", diagrams.identity_diagram, (4,), (0,)),
+    _entry("verify_presentation", diagrams.verify_presentation, (4,), (0,)),
+    _entry("evaluate_word", diagrams.evaluate_word, ([("s", 1)], 4), (0, 1)),
     _entry("b_s", murphy.b_s, (4, [1, 2]), (0, 1)),
     _entry("d_i", murphy.d_i, (4, [1, 2], [1]), (0, 1, 2)),
     _entry("p_s", murphy.p_s, (4, [1, 2]), (0, 1)),

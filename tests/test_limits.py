@@ -18,7 +18,14 @@ from partalg.algebra import (
     specialize,
     to_orbit_basis,
 )
-from partalg.diagrams import Diagram, enumerate_diagrams, generator, identity_diagram
+from partalg.diagrams import (
+    Diagram,
+    enumerate_diagrams,
+    generator,
+    identity_diagram,
+    presentation_relations,
+    verify_presentation,
+)
 from partalg.errors import BadParams, LimitExceeded
 from partalg.limits import LIMITS, check
 from partalg.murphy import (
@@ -77,13 +84,9 @@ PAST_CAP = {
     "gram_generic_det": [lambda: gram(CAP["gram_generic_det"] + 1, None)],
     "semisimple_verdict": [lambda: semisimple_verdict(CAP["semisimple_verdict"] + 1, 3)],
     "matrix_units": [lambda: matrix_units(CAP["matrix_units"] + 1, 3)],
+    # bounded by the enumerate_diagrams entry, whose bases it checks on
     "basic_construction_iso": [
-        lambda: basic_construction_iso(CAP["basic_construction_iso"] + 1, 3)
-    ],
-    "basic_construction_quadruples": [
-        lambda: basic_construction_iso(
-            2, 3, quadruples=CAP["basic_construction_quadruples"] + 1
-        )
+        lambda: basic_construction_iso(CAP["enumerate_diagrams"] + 1, 3)
     ],
     # bounded by the gram entry, whose kernel it takes
     "radical_basis": [lambda: radical_basis(CAP["gram"] + 1, 2)],
@@ -99,9 +102,16 @@ PAST_CAP = {
         lambda: p_tilde_s(CAP["murphy_family"] + 1, [CAP["murphy_family"] // 2 + 1]),
     ],
     "diagram": [
+        lambda: Diagram(CAP["diagram"] + 1, []),
+        lambda: identity_diagram(CAP["diagram"] + 1),
+        lambda: one(CAP["diagram"] + 1),
         lambda: generator("s", 1, CAP["diagram"] + 1),
         lambda: b_s(CAP["diagram"] + 1, [1, 2]),
         lambda: d_i(CAP["diagram"] + 1, [1, 2], [1]),
+    ],
+    "presentation": [
+        lambda: presentation_relations(CAP["presentation"] + 1),
+        lambda: verify_presentation(CAP["presentation"] + 1),
     ],
     "orbit_basis": [
         lambda: refinements(ORBIT_PAST),
@@ -161,12 +171,13 @@ PAST_CAP = {
         lambda: specht(2, (1,), TALL_INT),
         lambda: symmetrize(one(2), 2, TALL),
         lambda: specialize(one(2), TALL),
+        lambda: sym_matrix_units(CAP["sym_matrix_units"] // 2, TALL),
     ],
 }
 
 
 # Entry points with no cap of their own, and the entry whose cap bounds them.
-BOUNDED_BY = {"radical_basis": "gram"}
+BOUNDED_BY = {"radical_basis": "gram", "basic_construction_iso": "enumerate_diagrams"}
 
 
 def test_every_entry_has_a_past_cap_call():
@@ -196,7 +207,7 @@ def test_jobs_over_the_time_budget_are_refused():
     with pytest.raises(LimitExceeded):
         verify_murphy(2, [81])
     with pytest.raises(LimitExceeded):
-        basic_construction_iso(2, 3, quadruples=200_000)
+        verify_presentation(128)
     with pytest.raises(LimitExceeded):
         verify_murphy(6, [4] * 13)
     # did not finish in 60 s before the height cap
@@ -225,13 +236,6 @@ def test_check_takes_only_nonnegative_ints():
             check("specht", bad)
     with pytest.raises(KeyError):
         check("no such entry", 1)
-
-
-def test_quadruples_must_be_a_nonnegative_int():
-    for bad in (-1, 2.5, "50", None, True):
-        with pytest.raises(BadParams):
-            basic_construction_iso(2, 3, quadruples=bad)
-    assert basic_construction_iso(2, 3, quadruples=0)["product_rule_checked"] == 0
 
 
 def test_benchmark_sizes_are_admitted(monkeypatch):

@@ -1,6 +1,6 @@
 """Structural analysis: trace forms, Gram matrices and determinants,
-semisimplicity verdicts, matrix units along the tower, the radical,
-and averaging onto the center.
+semisimplicity verdicts, matrix units along the tower, the basic
+construction, the radical, and averaging onto the center.
 
 Each check uses an oracle outside the code under test: the trace of a
 left-multiplication matrix built here from products, the closure trace
@@ -14,9 +14,14 @@ from math import factorial
 
 import pytest
 
+from partalg import structure
 from partalg.algebra import (
     AlgebraElement,
     diagram_element,
+    embed,
+    eps_down,
+    eps_up,
+    generator_element,
     multiply,
     orbit_element,
     specialize,
@@ -24,6 +29,7 @@ from partalg.algebra import (
 )
 from partalg.combinatorics import counting
 from partalg.diagrams import (
+    Diagram,
     closure_components,
     columns,
     compose,
@@ -324,12 +330,52 @@ def _bell(m: int) -> int:
 def test_basic_construction_spans_the_ideal(n):
     # the ideal is everything but the (dr//2)! permutation diagrams; at
     # n = 0 the products that remove components vanish, and the others
-    # still reach every ideal diagram
-    for dr in range(2, 6):
-        report = basic_construction_iso(dr, n, quadruples=10)
-        expected = _bell(dr) - factorial(dr // 2)
-        assert report["span_rank"] == report["ideal_dimension"] == expected
-        assert report["ok"]
+    # still reach every ideal diagram.  The sandwich identities are
+    # checked on the bases of the two levels below.
+    span_ranks = (1, 4, 13, 50, 197, 871)
+    for dr, span_rank in zip(range(2, 8), span_ranks):
+        report = basic_construction_iso(dr, n)
+        assert report["span_rank"] == report["ideal_dimension"] == span_rank
+        assert span_rank == _bell(dr) - factorial(dr // 2)
+        assert report["well_defined_checked"] == _bell(dr - 2)
+        assert report["product_rule_checked"] == _bell(dr - 1)
+        assert report["factored_all"] and report["ok"]
+
+
+@pytest.mark.parametrize("dr", (4, 5))
+def test_sandwich_product_rule_on_sampled_quadruples(dr):
+    # (a p b)(c p d) = a p eps(b c) d over A_{k-1/2}, k = dr/2, multiplied
+    # out in full: the identity that basic_construction_iso proves from
+    # p y p = p eps(y) on a basis
+    n = Fraction(-5, 7)
+    rng = random.Random(dr)
+    half = [diagram_element(d, 1, n) for d in enumerate_diagrams(dr - 1)]
+    p = generator_element("p", Fraction(dr, 2), dr, n)
+    contract = eps_up if dr % 2 == 0 else eps_down
+    for _ in range(50):
+        a, b, c, d = (rng.choice(half) for _ in range(4))
+        left = multiply(multiply(embed(a, dr), p), embed(b, dr))
+        right = multiply(multiply(embed(c, dr), p), embed(d, dr))
+        middle = embed(multiply(embed(contract(multiply(b, c)), dr - 1), d), dr)
+        assert multiply(left, right) == multiply(multiply(embed(a, dr), p), middle)
+
+
+def test_basic_construction_needs_the_factor_of_eps_up(monkeypatch):
+    # eps_up gains a factor x where it deletes a bare constraint pair;
+    # without it p y p = p eps(y) fails at even double ranks
+    def eps_up_without_x(a):
+        k2 = columns(a.double_rank)
+        pairs = []
+        for d, c in a.terms.items():
+            blocks = [kept for b in d.blocks if (kept := [v for v in b if abs(v) != k2])]
+            pairs.append((Diagram(a.double_rank - 1, blocks), c))
+        return AlgebraElement(a.double_rank - 1, pairs, a.mode)
+
+    monkeypatch.setattr(structure, "eps_up", eps_up_without_x)
+    for dr in (2, 4):
+        report = basic_construction_iso(dr, 3)
+        assert report["well_defined_ok"] and report["span_rank"] == report["ideal_dimension"]
+        assert not report["product_rule_ok"] and not report["ok"]
 
 
 def test_symmetrize_central_and_basis_free():
