@@ -183,7 +183,11 @@ class AlgebraElement:
     __slots__ = ("double_rank", "mode", "num", "den")
 
     def __init__(self, double_rank: int, terms, mode: Mode = None):
-        pairs = terms.items() if isinstance(terms, dict) else terms
+        check("diagram", double_rank)
+        try:
+            pairs = terms.items() if isinstance(terms, dict) else iter(terms)
+        except TypeError:
+            raise BadParams(f"terms must be diagram, coefficient pairs: {terms!r}") from None
         if mode is None:
             self.num = _generic_terms(double_rank, pairs)
             self.den = 1

@@ -42,9 +42,9 @@ LIMITS = {
     # 332 MB
     "diagram": 100_000,
     # double rank of presentation_relations and verify_presentation;
-    # verify_presentation(96), 11,656 relations, 4.8-5.1 s and 94 MB;
-    # at 128 10.9-11.2 s
-    "presentation": 96,
+    # verify_presentation(128), 20,664 relations, 2.6-2.7 s and 193 MB;
+    # at 160 5.6 s and 350 MB, at 192 7.7 s and 592 MB
+    "presentation": 128,
     # double rank of refinements, coarsenings, to_orbit_basis,
     # from_orbit_basis and orbit_element, which make up to Bell(double
     # rank) diagrams per term; at 10, refinements of the one-block
@@ -77,9 +77,10 @@ LIMITS = {
     # n**slots of phi, phi_orbit, sym_tensor_matrix, kappa_tensor_matrix
     # and the verify_murphy witnesses; kappa_tensor_matrix(81, 1), 1.4 s
     "tensor_side": 81,
-    "homomorphism_check": 41_209,  # pairs; exhaustive (2, 6), 0.65-0.69 s
-    # pairs x side**2; (81, 2, 500) 1.50-1.52 s; (3, 8, 500) 0.24 s and 76 MB
-    "homomorphism_check_entries": 3_280_500,
+    # pairs x side**2, with (1 + generators) x Bell(double rank) pairs;
+    # (4, 7) 39.5 M, 2.7-3.1 s and 22 MB; (2, 8) 14.8 M, 2.7-2.8 s and
+    # 32 MB; (3, 8) 380 M took 25 s
+    "homomorphism_check": 40_000_000,
     # height of a parameter n: bit lengths of numerator and denominator
     # added; gram(6, -3/61) with det 7.7-8.3 s, gram(6, 1/127) 8.0 s,
     # basic_construction_iso(8, 1/127) 2.2-2.3 s;

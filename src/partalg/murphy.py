@@ -32,15 +32,7 @@ from .algebra import (
     specialize,
 )
 from .combinatorics import build_bratteli, hooks_and_contents, syt_dimension
-from .diagrams import (
-    Diagram,
-    _p_indices,
-    _strands,
-    columns,
-    enumerate_diagrams,
-    generator,
-    identity_diagram,
-)
+from .diagrams import Diagram, _generators, _strands, columns, identity_diagram
 from .errors import BadParams, BadSubset
 from .limits import check
 from .linalg import rank as matrix_rank
@@ -277,12 +269,6 @@ def kappa_tensor_matrix(n: int, slots: int, *, fixed_last: bool = False) -> Endo
     return total
 
 
-def _generator_diagrams(double_rank: int) -> list[Diagram]:
-    top = columns(double_rank) - double_rank % 2
-    out = [generator(kind, i, double_rank) for i in range(1, top) for kind in "se"]
-    return out + [generator("p", a, double_rank) for a in _p_indices(double_rank)]
-
-
 def _joint_nullity(mats: Sequence[EndoMatrix], values: Sequence[int]) -> int:
     """Dimension of the common kernel of the shifts m - t, each block
     of rows taken as den * (m - t) = num - t * den, of the same rank."""
@@ -345,8 +331,8 @@ def verify_murphy(double_rank: int, n_witnesses: Sequence[int]) -> dict:
     """Run the family checks at the given rank and return a report.
 
     Covers pairwise commutation with generic coefficients, centrality
-    of the central element at every rank up to the given one
-    (exhaustive through rank 2, generators beyond), the tensor-action
+    of the central element at every rank up to the given one (on
+    diagrams._generators, which generate the algebra), the tensor-action
     identity against transposition sums for each witness, and the
     joint spectra of the family on labelings against the box-content
     predictions of ``_spectra_report``.  The family and each central
@@ -377,10 +363,7 @@ def verify_murphy(double_rank: int, n_witnesses: Sequence[int]) -> dict:
     centrals = {r: Z(r) for r in range(2, double_rank + 1)}
     centrality = {"checked": 0, "failures": []}
     for r, z in centrals.items():
-        others = (
-            list(enumerate_diagrams(r)) if r <= 4 else _generator_diagrams(r)
-        )
-        for d in others:
+        for d in _generators(r).values():
             g = diagram_element(d)
             centrality["checked"] += 1
             if multiply(z, g) != multiply(g, z):

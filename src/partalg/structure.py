@@ -30,7 +30,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
-from typing import Sequence
 
 from .algebra import (
     AlgebraElement,
@@ -58,6 +57,7 @@ from .combinatorics import (
 from .diagrams import (
     Diagram,
     _diagram,
+    _generators,
     _rg_strings,
     closure_components,
     columns,
@@ -110,12 +110,6 @@ def _basis(double_rank: int) -> tuple[Diagram, ...]:
 @lru_cache(maxsize=None)
 def _graph(double_rank: int) -> BratteliGraph:
     return build_bratteli("abstract", double_rank)
-
-
-def _p_index(double_rank: int) -> Fraction:
-    # the generator that collapses the newest column pair at this level
-    t = double_rank
-    return Fraction(t, 2) if t % 2 else Fraction(t // 2)
 
 
 @dataclass(frozen=True)
@@ -435,7 +429,7 @@ def _sandwich_factors(t: int, n, prev: MatrixUnitSystem):
     the collapse generator p_t; right[q] is the embedded unit back to
     q.  The sandwich element of p and q is left[p] * right[q]."""
     graph = _graph(t)
-    p_elem = generator_element("p", _p_index(t), t, n)
+    p_elem = generator_element("p", Fraction(t, 2), t, n)
     for mu in graph.levels[t - 2]:
         walk_t = min(graph.paths(t - 2, mu))
         paths = graph.paths(t, mu)
@@ -545,18 +539,20 @@ def basic_construction_iso(double_rank: int, n) -> dict:
     diagrams of A_{k-1/2} and A_{k-1} embedded in A_k, each b1 p b2 over
     B x B is n^r times one diagram.  So the span rank counts distinct
     diagrams with n^r nonzero, and factored_all asks that r = 0 reach
-    every ideal diagram.  The sandwich identities are bilinear, so a
-    basis check proves them for all products: c p = p c for c in C gives
-    (b c) p a = b p (c a) for all b and a; p y p = p eps(y) for y in B,
-    eps the half-step conditional expectation onto A_{k-1}, gives
-    (a p b)(c p d) = a p eps(b c) d for all a, b, c and d.
-    partalg.limits caps the double rank at that of enumerate_diagrams.
+    every ideal diagram.  c p = p c for c in A_{k-1} gives (b c) p a =
+    b p (c a) for all b and a; it is closed under products in c, so it
+    is checked on the generators of A_{k-1} (diagrams._generators).
+    p y p = p eps(y) for y in B, eps the half-step conditional
+    expectation onto A_{k-1}, gives (a p b)(c p d) = a p eps(b c) d for
+    all a, b, c and d; it is not multiplicative in y, so it is checked
+    on the basis B.  partalg.limits caps the double rank at that of
+    enumerate_diagrams.
     """
     t = check("enumerate_diagrams", double_rank)
     if t < 2:
         raise BadParams("basic construction checks start at double rank 2")
     point = parse_parameter(n)
-    p_elem = generator_element("p", _p_index(t), t, point)
+    p_elem = generator_element("p", Fraction(t, 2), t, point)
     p_diag = next(iter(p_elem.num))
     half = [diagram_element(d, 1, point) for d in _basis(t - 1)]
     lifted = [embed(y, t) for y in half]
@@ -575,7 +571,7 @@ def basic_construction_iso(double_rank: int, n) -> dict:
     expected = counting("bell", t) - factorial(t // 2)
     factored_all = factored.issuperset(ideal)
 
-    lower = [embed(diagram_element(d, 1, point), t) for d in _basis(t - 2)]
+    lower = [embed(diagram_element(g, 1, point), t) for g in _generators(t - 2).values()]
     moved_ok = all(multiply(c, p_elem) == multiply(p_elem, c) for c in lower)
     contract = eps_up if t % 2 == 0 else eps_down
     rule_ok = all(
@@ -674,18 +670,12 @@ def specht(double_rank: int, lam, witness_n: int | None = None) -> dict:
     }
 
 
-def symmetrize(
-    a: AlgebraElement,
-    double_rank: int,
-    n,
-    basis: Sequence[AlgebraElement] | None = None,
-) -> AlgebraElement:
-    """Averages a over the algebra: sum of b a b* with b* the dual
-    basis of the regular trace form.  The result is central; it does
-    not depend on the basis choice, which the optional argument lets
-    tests exercise; it must have Bell(double_rank) elements, each
-    specialized at n.  On the diagram basis the form is read from gram;
-    on another basis it is the regular trace of each product."""
+def symmetrize(a: AlgebraElement, double_rank: int, n) -> AlgebraElement:
+    """Averages a over the algebra: the sum of b a b* over the diagram
+    basis, b* the dual basis of the regular trace form, read from the
+    inverse of gram.  The sum does not depend on the basis.  It is
+    central, which commuting with diagrams._generators shows, since
+    with the identity they generate the algebra."""
     check("symmetrize", double_rank)
     point = parse_parameter(n)
     if a.double_rank != double_rank:
@@ -694,29 +684,15 @@ def symmetrize(
         a = specialize(a, point)
     elif a.mode != point:
         raise ModeMismatch("element is specialized at a different parameter")
-    if basis is None:
-        basis = [diagram_element(d, 1, point) for d in _basis(double_rank)]
-        table = gram(double_rank, point, want_det=False).matrix
-    else:
-        basis = list(basis)
-        if any(u.mode != point for u in basis):
-            raise ModeMismatch(f"every basis element must be specialized at n = {n}")
-        size = len(_basis(double_rank))
-        if len(basis) != size:
-            raise BadParams(f"a basis has {size} elements, not {len(basis)}")
-        table = [[regular_trace(multiply(u, v)) for v in basis] for u in basis]
     try:
-        inverse = invert(table)
+        inverse = invert(gram(double_rank, point, want_det=False).matrix)
     except ValueError:
         raise DegenerateForm(
             f"regular trace form is degenerate at n = {n}"
         ) from None
+    basis = _basis(double_rank)
     total = zero(double_rank, point)
-    for j, b in enumerate(basis):
-        dual = [
-            (d, inverse[i][j] * Fraction(v, u.den))
-            for i, u in enumerate(basis)
-            for d, v in u.num.items()
-        ]
-        total = total + multiply(multiply(b, a), AlgebraElement(double_rank, dual, point))
+    for j, d in enumerate(basis):
+        dual = AlgebraElement(double_rank, zip(basis, (row[j] for row in inverse)), point)
+        total = total + multiply(multiply(diagram_element(d, 1, point), a), dual)
     return total

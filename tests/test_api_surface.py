@@ -5,9 +5,11 @@ class goes unused."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
+from types import FunctionType
 
 try:
     import tomllib
@@ -73,6 +75,50 @@ def test_every_error_class_is_named_outside_errors():
     others = "\n".join(p.read_text() for p in SOURCES if p.name != "errors.py")
     names = (name for name in errors.__all__ if name != "PartalgError")
     assert [name for name in names if not re.search(rf"\b{name}\b", others)] == []
+
+
+def test_no_module_imports_random():
+    """Checks prove on bases or generators; none samples."""
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        modules = {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names
+        }
+        modules |= {
+            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        }
+        assert "random" not in modules, path.name
+
+
+def _public_functions():
+    """Every function in a module's __all__, and every public method
+    and constructor defined by a class there."""
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            obj = getattr(module, attr)
+            if not inspect.isclass(obj):
+                members = {attr: obj}
+            else:
+                members = {
+                    f"{attr}.{method}": getattr(obj, method)
+                    for method, member in vars(obj).items()
+                    if isinstance(member, (FunctionType, staticmethod, classmethod))
+                    and (not method.startswith("_") or method in ("__init__", "__new__"))
+                }
+            for qualified, function in members.items():
+                if inspect.isroutine(function):
+                    yield f"{name}.{qualified}", function
+
+
+def test_no_public_function_takes_a_seed_or_a_sample_count():
+    found = [
+        qualified
+        for qualified, obj in _public_functions()
+        if {"seed", "samples"} & inspect.signature(obj).parameters.keys()
+    ]
+    assert found == []
 
 
 def test_unused_import_guard_sees_an_orphan(tmp_path):

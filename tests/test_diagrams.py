@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import brute_partitions, partition_key
 from partalg.diagrams import (
     Diagram,
+    _generators,
     classify,
     closure_components,
     coarsens,
@@ -303,6 +304,19 @@ def test_token_round_trip():
     for bad in ("q_1", "s_x", "p_1/3"):
         with pytest.raises(IndexOutOfRange):
             parse_token(bad)
+
+
+@pytest.mark.parametrize("double_rank", range(9))
+def test_generators_generate_the_monoid(double_rank):
+    # every check proved on _generators rests on this: closing the
+    # identity under right products with them reaches every diagram
+    table = _generators(double_rank)
+    assert all(g is generator(kind, i, double_rank) for (kind, i), g in table.items())
+    reached = frontier = {identity_diagram(double_rank)}
+    while frontier:
+        frontier = {compose(d, g)[0] for d in frontier for g in table.values()} - reached
+        reached = reached | frontier
+    assert reached == set(enumerate_diagrams(double_rank))
 
 
 @pytest.mark.parametrize("double_rank", [2, 3, 4, 5, 6, 7, 8])

@@ -152,12 +152,8 @@ PAST_CAP = {
         lambda: bimodule_dimension_check(SIDE, 0),
         lambda: bimodule_dimension_check(10**6, 1),
     ],
-    "homomorphism_check": [
-        lambda: homomorphism_check(1, 6, CAP["homomorphism_check"] + 1)
-    ],
-    "homomorphism_check_entries": [
-        lambda: homomorphism_check(81, 2, CAP["homomorphism_check_entries"] // 81**2 + 1)
-    ],
+    # pairs x side**2: 14 x 4140 pairs at double rank 8, side 81
+    "homomorphism_check": [lambda: homomorphism_check(3, 8)],
     # bits of numerator plus denominator; every entry that parses n
     "parameter_bits": [
         lambda: gram(2, TALL),
@@ -203,11 +199,11 @@ def test_jobs_over_the_time_budget_are_refused():
     with pytest.raises(LimitExceeded):
         sym_matrix_units(7)
     with pytest.raises(LimitExceeded):
-        homomorphism_check(2, 7)
+        homomorphism_check(3, 8)
     with pytest.raises(LimitExceeded):
         verify_murphy(2, [81])
     with pytest.raises(LimitExceeded):
-        verify_presentation(128)
+        verify_presentation(192)
     with pytest.raises(LimitExceeded):
         verify_murphy(6, [4] * 13)
     # did not finish in 60 s before the height cap

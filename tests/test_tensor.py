@@ -23,7 +23,13 @@ from partalg.algebra import (
     specialize,
     trace,
 )
-from partalg.diagrams import Diagram, enumerate_diagrams, generator
+from partalg.diagrams import (
+    Diagram,
+    _generators,
+    enumerate_diagrams,
+    generator,
+    identity_diagram,
+)
 from partalg.errors import BadParams, LimitExceeded, PartalgError
 from partalg.linalg import rank as matrix_rank
 from partalg.tensor import (
@@ -192,32 +198,66 @@ def test_phi_orbit_matches_orbit_expansion():
 
 
 def test_homomorphism_exhaustive():
-    for n, dr, pairs in ((2, 4, 225), (3, 4, 225), (2, 2, 4), (3, 2, 4)):
+    # pairs is (1 + generators) * Bell(dr): 6 * 15 at dr 4, 2 * 2 at dr 2
+    for n, dr, pairs in ((2, 4, 90), (3, 4, 90), (2, 2, 4), (3, 2, 4)):
         report = homomorphism_check(n, dr)
         assert report["pairs"] == pairs
         assert report["failures"] == []
 
 
-def test_sampled_homomorphism_check_acts_only_on_sampled_diagrams(monkeypatch):
-    built = []
-    original = tensor.phi
+def _pair_failures(n, dr):
+    """The all-pairs oracle: every pair of basis diagrams whose product
+    acts otherwise than the product of their actions."""
+    basis = list(enumerate_diagrams(dr))
+    mode = Fraction(n)
+    return [
+        (d1, d2)
+        for d1 in basis
+        for d2 in basis
+        if phi(multiply(diagram_element(d1, 1, mode), diagram_element(d2, 1, mode)), n)
+        != phi(d1, n) @ phi(d2, n)
+    ]
 
-    def recording_phi(b, n):
-        if isinstance(b, Diagram):
-            built.append(b)
-        return original(b, n)
 
-    monkeypatch.setattr(tensor, "phi", recording_phi)
-    report = homomorphism_check(3, 8, samples=20, seed=1)
-    assert report["failures"] == []
-    # at most two diagrams per pair, not all 4140 of the basis
-    assert len(built) <= 40
+@pytest.mark.parametrize("n, dr", [(2, 4), (3, 4), (2, 5)])
+def test_homomorphism_on_generators_agrees_with_all_pairs(n, dr):
+    assert _pair_failures(n, dr) == []
+    assert homomorphism_check(n, dr)["failures"] == []
+
+
+def test_homomorphism_check_sees_a_broken_action_of_any_other_diagram(monkeypatch):
+    # drop one position from the support of one diagram that is neither
+    # the identity nor a generator: every such victim is caught through
+    # the generators alone
+    gens = {identity_diagram(4), *_generators(4).values()}
+    victims = [d for d in enumerate_diagrams(4) if d not in gens]
+    assert len(victims) == 15 - 6
+    original = tensor._support
+    for victim in victims:
+
+        def broken(d, n, distinct, victim=victim):
+            positions = original(d, n, distinct)
+            return positions[1:] if d is victim else positions
+
+        monkeypatch.setattr(tensor, "_support", broken)
+        failures = homomorphism_check(2, 4)["failures"]
+        assert failures, victim
+        assert _pair_failures(2, 4)
+    monkeypatch.undo()
+    assert homomorphism_check(2, 4)["failures"] == []
 
 
 def test_homomorphism_sampled_and_projection_rule():
-    report = homomorphism_check(2, 6, samples=40, seed=11)
-    assert report["pairs"] == 40
-    assert report["failures"] == []
+    # the generator proof at double rank 6, and seeded sampled pairs
+    # there checked directly
+    assert homomorphism_check(2, 6) == {"pairs": 10 * 203, "failures": []}
+    rng = random.Random(11)
+    basis = list(enumerate_diagrams(6))
+    mode = Fraction(2)
+    for _ in range(40):
+        d1, d2 = rng.choice(basis), rng.choice(basis)
+        product_element = multiply(diagram_element(d1, 1, mode), diagram_element(d2, 1, mode))
+        assert phi(product_element, 2) == phi(d1, 2) @ phi(d2, 2)
     m = phi(P1, 3)
     assert m @ m == m.scale(3)
 
