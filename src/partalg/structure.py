@@ -673,9 +673,9 @@ def specht(double_rank: int, lam, witness_n: int | None = None) -> dict:
 def symmetrize(a: AlgebraElement, double_rank: int, n) -> AlgebraElement:
     """Averages a over the algebra: the sum of b a b* over the diagram
     basis, b* the dual basis of the regular trace form, read from the
-    inverse of gram.  The sum does not depend on the basis.  It is
-    central, which commuting with diagrams._generators shows, since
-    with the identity they generate the algebra."""
+    inverse of gram.  The sum does not depend on the basis, and it is
+    central: with the identity, diagrams._generators generate the
+    algebra, so commuting with them is enough to show it."""
     check("symmetrize", double_rank)
     point = parse_parameter(n)
     if a.double_rank != double_rank:
