@@ -184,16 +184,17 @@ class AlgebraElement:
 
     def __init__(self, double_rank: int, terms, mode: Mode = None):
         check("diagram", double_rank)
+        if mode is not None:
+            mode = parse_parameter(mode)
+        # the term loops refuse with PartalgErrors; these mean no pairs
         try:
             pairs = terms.items() if isinstance(terms, dict) else iter(terms)
-        except TypeError:
+            if mode is None:
+                self.num, self.den = _generic_terms(double_rank, pairs), 1
+            else:
+                self.num, self.den = _specialized_terms(double_rank, pairs, mode)
+        except (TypeError, ValueError):
             raise BadParams(f"terms must be diagram, coefficient pairs: {terms!r}") from None
-        if mode is None:
-            self.num = _generic_terms(double_rank, pairs)
-            self.den = 1
-        else:
-            mode = parse_parameter(mode)
-            self.num, self.den = _specialized_terms(double_rank, pairs, mode)
         self.double_rank = double_rank
         self.mode = mode
 

@@ -24,8 +24,8 @@ LIMITS = {
     # "diagram") took 9.8-9.9 s, no margin under the budget
     "gram_generic_det": 4,
     # double rank; semisimple_verdict(11, n) for n = 2..11 and 127,
-    # 2.6-2.9 s and 85 MB; its largest pairing matrix has side 810,
-    # and 3,720 at 12, which was not run
+    # 0.14-5.2 s and 85 MB, 3.9-5.2 s from n = 8 up; its largest pairing
+    # matrix has side 810, and 3,720 at 12, which was not run
     "semisimple_verdict": 11,
     "matrix_units": 4,  # double rank; matrix_units(4, 5), 0.01 s
     "specht": 4,  # double rank; specht(4, (2,)), 0.01 s
@@ -34,7 +34,8 @@ LIMITS = {
     # 15.8-15.9 s for 1/127, over the budget
     "symmetrize": 5,
     # double rank of Z, M, murphy_family and of the sums p_s and
-    # p_tilde_s; murphy_family(8), 0.16 s
+    # p_tilde_s; murphy_family(8) 0.02-0.04 s, Z(7), which builds Z(8),
+    # 0.02 s
     "murphy_family": 8,
     # double rank of one diagram built by Diagram, identity_diagram,
     # generator, b_s or d_i, in time and memory linear in the rank;

@@ -3,8 +3,10 @@
 The building blocks are diagrams that collapse a chosen set of columns
 into one block (``b_s``) and the splittings of that block into a top
 and bottom part (``d_i``).  Signed half-sums of the splittings give
-``p_s`` and ``p_tilde_s``; these assemble into the central element
-``Z`` and the commuting family ``M`` indexed by half-integer ranks.
+``p_s`` and ``p_tilde_s``.  The ``p_s`` assemble into the central
+element ``Z`` at integer ranks; Z(k + 1/2) = eps_down(Z(k + 1)) - 1
+above rank 1/2 (proved in ``Z``); and the differences of one ladder of
+Z's give the commuting family ``M`` indexed by half-integer ranks.
 
 ``verify_murphy`` packages the runnable checks: generic pairwise
 commutation, centrality of ``Z``, the tensor-action identity relating
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Sequence
 
 from .algebra import (
@@ -27,6 +29,7 @@ from .algebra import (
     diagram_element,
     element,
     embed,
+    eps_down,
     multiply,
     one,
     specialize,
@@ -164,77 +167,59 @@ def p_tilde_s(double_rank: int, subset) -> AlgebraElement:
     return _half_sum(double_rank, s, admissible)
 
 
-def _pinned_difference_sum(double_rank: int) -> AlgebraElement:
-    """Diagram expansion of the swaps that move the dropped label
-    through the pinned column, summed over all labels.
-
-    Each slot independently picks one of five roles: strand, paired on
-    the moving label, paired on the pinned label, or crossing in either
-    direction.  A choice placing the moving label somewhere contributes
-    the split diagram minus the merged one, signed by the number of
-    paired picks; a choice avoiding it entirely contributes one diagram
-    weighted by the free range of that label.  Specializing the result
-    and applying the tensor action reproduces that operator sum at
-    every dimension, so the half rank central element can be built from
-    it without any case analysis.
-    """
-    k = double_rank // 2
-    cols = k + 1
-    free = Poly.x() - Poly.const(1)
-    pairs = []
-    for assign in product(range(5), repeat=k):
-        moving: list[int] = []
-        pinned: list[int] = [cols, -cols]
-        strands: list[list[int]] = []
-        sign = 1
-        for slot, role in zip(range(1, k + 1), assign):
-            if role == 0:
-                strands.append([slot, -slot])
-            elif role == 1:
-                moving += [slot, -slot]
-                sign = -sign
-            elif role == 2:
-                pinned += [slot, -slot]
-                sign = -sign
-            elif role == 3:
-                moving.append(slot)
-                pinned.append(-slot)
-            else:
-                moving.append(-slot)
-                pinned.append(slot)
-        if not moving:
-            pairs.append((Diagram(double_rank, [pinned] + strands), free * sign))
-            continue
-        pairs.append((Diagram(double_rank, [moving, pinned] + strands), sign))
-        pairs.append((Diagram(double_rank, [moving + pinned] + strands), -sign))
-    return element(double_rank, pairs)
-
-
 def Z(double_rank: int) -> AlgebraElement:
     """Central element at the given rank, with generic coefficients.
 
-    Ranks 0 and 1/2 are set to the identity.  At integer rank the
-    element is a constant plus the ``p_s`` over all nonempty column
-    sets plus weighted collapses; at half rank it extends the element
-    one half step down by the pinned difference sum, shifted so its
-    tensor action matches the next dimension down.
+    Ranks 0 and 1/2 are set to the identity.  At integer rank k it is a
+    constant plus the ``p_s`` over all nonempty column sets plus
+    weighted collapses, and acts on the tensor power V^k as the sum of
+    the transpositions of S_n plus kn - n(n-1)/2.  At half rank
+    k + 1/2 > 1/2 it is eps_down(Z(k + 1)) - 1: eps_down cuts the action
+    on V^(k+1) down to the labelings ending in n, keeping the
+    transpositions that fix n, which is the action of Z(k + 1/2) (shift
+    (k + 1)n - 1 - n(n-1)/2) plus 1; the action is faithful on
+    A_{k+1/2}(n) for n >= 2k + 1, so the polynomial coefficients agree.
+
+    >>> len(Z(5).num), len(Z(7).num)
+    (29, 162)
     """
     check("murphy_family", double_rank)
     if double_rank <= 1:
         return one(double_rank)
+    if double_rank % 2:
+        return eps_down(Z(double_rank + 1)) - one(double_rank)
     x = Poly.x()
     k = double_rank // 2
-    if double_rank % 2 == 0:
-        pairs = [(identity_diagram(double_rank), Fraction(k * (k - 1), 2))]
-        for m in range(1, k + 1):
-            for s in combinations(range(1, k + 1), m):
-                pairs += p_s(double_rank, s).terms.items()
-                if m >= 2:
-                    coeff = (x - Poly.const(k - m)) * Fraction(-1 if m % 2 else 1)
-                    pairs.append((b_s(double_rank, s), coeff))
-        return element(double_rank, pairs)
-    shift = one(double_rank).scale(Poly.const(k) + x - Poly.const(k + 1))
-    return shift + embed(Z(2 * k), double_rank) - _pinned_difference_sum(double_rank)
+    pairs = [(identity_diagram(double_rank), Fraction(k * (k - 1), 2))]
+    for m in range(1, k + 1):
+        for s in combinations(range(1, k + 1), m):
+            pairs += p_s(double_rank, s).terms.items()
+            if m >= 2:
+                coeff = (x - Poly.const(k - m)) * Fraction(-1 if m % 2 else 1)
+                pairs.append((b_s(double_rank, s), coeff))
+    return element(double_rank, pairs)
+
+
+def _ladder(double_rank: int) -> list[AlgebraElement]:
+    """Z at double ranks 0, ..., double_rank, each built once: the
+    integer ranks by ``Z``, each half rank above 1/2 by ``eps_down`` of
+    the next integer rank, so an odd top builds Z one half step above."""
+    zs = [one(0), one(1)]
+    for r in range(2, double_rank + 2, 2):
+        z = Z(r)
+        zs += [eps_down(z) - one(r - 1), z] if r > 2 else [z]
+    return zs[: double_rank + 1]
+
+
+def _family(zs: list[AlgebraElement]) -> list[tuple[Fraction, AlgebraElement]]:
+    """The family members at double ranks 1, ..., top from the ladder
+    of Z at double ranks 0, ..., top, embedded at the top, as (rank,
+    element) pairs."""
+    top = len(zs) - 1
+    return [
+        (Fraction(r, 2), embed(zs[r] - embed(zs[r - 1], r) if r > 1 else one(1), top))
+        for r in range(1, top + 1)
+    ]
 
 
 def M(double_rank: int) -> AlgebraElement:
@@ -243,17 +228,13 @@ def M(double_rank: int) -> AlgebraElement:
     check("murphy_family", double_rank)
     if double_rank <= 1:
         return one(double_rank)
-    return Z(double_rank) - embed(Z(double_rank - 1), double_rank)
+    return _family(_ladder(double_rank))[-1][1]
 
 
 def murphy_family(double_rank: int) -> list[tuple[Fraction, AlgebraElement]]:
     """All family members up to the given rank, embedded at that rank,
     as (rank, element) pairs."""
-    check("murphy_family", double_rank)
-    return [
-        (Fraction(r, 2), embed(M(r), double_rank))
-        for r in range(1, double_rank + 1)
-    ]
+    return _family(_ladder(check("murphy_family", double_rank)))
 
 
 def kappa_tensor_matrix(n: int, slots: int, *, fixed_last: bool = False) -> EndoMatrix:
@@ -335,8 +316,8 @@ def verify_murphy(double_rank: int, n_witnesses: Sequence[int]) -> dict:
     diagrams._generators, which generate the algebra), the tensor-action
     identity against transposition sums for each witness, and the
     joint spectra of the family on labelings against the box-content
-    predictions of ``_spectra_report``.  The family and each central
-    element are built once per call.  Raises LimitExceeded, before any
+    predictions of ``_spectra_report``.  Z is built once per rank, on
+    one ladder with the family.  Raises LimitExceeded, before any
     work, when a witness's tensor side at this rank or the sum of the
     witnesses is over its cap, so every witness is checked in full.
 
@@ -353,27 +334,27 @@ def verify_murphy(double_rank: int, n_witnesses: Sequence[int]) -> dict:
         _side(n, double_rank // 2)
     check("verify_murphy_witnesses", sum(n_witnesses))
 
-    family = murphy_family(double_rank)
+    zs = _ladder(double_rank)
+    family = _family(zs)
     commuting = {"pairs": 0, "failures": []}
     for (ra, ma), (rb, mb) in combinations(family, 2):
         commuting["pairs"] += 1
         if multiply(ma, mb) != multiply(mb, ma):
             commuting["failures"].append(f"[M_{ra}, M_{rb}]")
 
-    centrals = {r: Z(r) for r in range(2, double_rank + 1)}
     centrality = {"checked": 0, "failures": []}
-    for r, z in centrals.items():
+    for r in range(2, double_rank + 1):
         for d in _generators(r).values():
             g = diagram_element(d)
             centrality["checked"] += 1
-            if multiply(z, g) != multiply(g, z):
+            if multiply(zs[r], g) != multiply(g, zs[r]):
                 centrality["failures"].append(f"[Z at {Fraction(r, 2)}, {d.blocks}]")
 
     tensor_identity = []
     for n in n_witnesses:
-        for r, z in centrals.items():
+        for r in range(2, double_rank + 1):
             slots, half = divmod(r, 2)
-            mat = phi(specialize(z, n), n)
+            mat = phi(specialize(zs[r], n), n)
             shift = (slots + half) * n - half - n * (n - 1) // 2
             expected = kappa_tensor_matrix(n, slots, fixed_last=bool(half))
             expected = expected + EndoMatrix.identity(n, slots).scale(shift)

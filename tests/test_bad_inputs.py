@@ -74,6 +74,14 @@ OUT_OF_DOMAIN = {
     "AlgebraElement(2, None)": lambda: algebra.AlgebraElement(2, None),
     "Diagram(2, None)": lambda: Diagram(2, None),
     "Diagram(2, [None])": lambda: Diagram(2, [None]),
+    # terms that are not (diagram, coefficient) pairs leaked TypeError
+    # or ValueError from the unpacking in the term loops
+    "AlgebraElement(2, [None])": lambda: algebra.AlgebraElement(2, [None]),
+    "AlgebraElement(2, [None], 3)": lambda: algebra.AlgebraElement(2, [None], 3),
+    "AlgebraElement(2, [(d,)])": lambda: algebra.AlgebraElement(2, [(ID2,)]),
+    "AlgebraElement(2, [(d,)], 3)": lambda: algebra.AlgebraElement(2, [(ID2,)], 3),
+    "AlgebraElement(2, [(d, 1, 1)])": lambda: algebra.AlgebraElement(2, [(ID2, 1, 1)]),
+    "AlgebraElement(2, [(d, 1, 1)], 3)": lambda: algebra.AlgebraElement(2, [(ID2, 1, 1)], 3),
 }
 
 

@@ -332,14 +332,34 @@ def test_verify_report_spectra_at_generic_witness():
 
 def test_verify_catches_a_shifted_first_member(monkeypatch):
     # an offset fitted to M(1)'s own spectrum would absorb this shift
-    unshifted = murphy.M
+    unshifted = murphy._family
 
-    def shifted(double_rank):
-        m = unshifted(double_rank)
-        return m + one(double_rank) if double_rank == 2 else m
+    def shifted(zs):
+        family = unshifted(zs)
+        rank, m = family[1]
+        assert rank == 1
+        family[1] = (rank, m + one(m.double_rank))
+        return family
 
-    monkeypatch.setattr(murphy, "M", shifted)
+    monkeypatch.setattr(murphy, "_family", shifted)
     assert not verify_murphy(4, [3])["ok"]
+
+
+def test_each_central_element_is_built_once_per_call(monkeypatch):
+    built = []
+    unwrapped = murphy.Z
+
+    def counted(double_rank):
+        built.append(double_rank)
+        return unwrapped(double_rank)
+
+    monkeypatch.setattr(murphy, "Z", counted)
+    verify_murphy(6, [])
+    assert built == [2, 4, 6]
+    built.clear()
+    # the half rank 7/2 comes from Z(8), within the murphy_family cap
+    murphy_family(7)
+    assert built == [2, 4, 6, 8]
 
 
 def test_spectra_sweep_over_ranks_and_witnesses():
@@ -373,9 +393,9 @@ def test_verify_rejects_witness_over_side_cap_before_any_work(monkeypatch):
     # 10**2 labelings exceed the side cap; the witness used to be skipped
     # while the report still read ok with no spectra.
     def no_work(double_rank):
-        raise AssertionError("family built before the witness check")
+        raise AssertionError("central elements built before the witness check")
 
-    monkeypatch.setattr(murphy, "murphy_family", no_work)
+    monkeypatch.setattr(murphy, "_ladder", no_work)
     with pytest.raises(LimitExceeded):
         verify_murphy(4, [10])
     with pytest.raises(LimitExceeded):

@@ -389,8 +389,9 @@ def test_trace_is_iterated_contraction():
 
 
 def test_eps_down_bridge_restricts():
-    for n in (2, 3):
-        for d in enumerate_diagrams(4):
+    # murphy.Z builds each half rank from this bridge at one rank higher
+    for n, dr in product((2, 3), (4, 6)):
+        for d in enumerate_diagrams(dr):
             lowered = specialize(eps_down(diagram_element(d)), Fraction(n))
             lhs = phi(lowered, n)
             rhs = restrict_last(endo_eps(phi(d, n), "down"))
