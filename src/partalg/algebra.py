@@ -18,6 +18,7 @@ shows its coefficients as Fractions.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import factorial, gcd, lcm
@@ -25,6 +26,8 @@ from math import factorial, gcd, lcm
 from .diagrams import (
     Diagram,
     _checked_diagram,
+    _diagram,
+    _relabeled,
     _rg_strings,
     closure_components,
     columns,
@@ -450,13 +453,13 @@ def embed(a: AlgebraElement, target_double_rank: int) -> AlgebraElement:
     while result.double_rank < target_double_rank:
         dr = result.double_rank
         if dr % 2 == 0:
-            new_col = columns(dr) + 1
+            k2, fresh = columns(dr), (dr,)  # dr = 2 * k2 is past every label
             num = {
-                Diagram(dr + 1, d.blocks + ((new_col, -new_col),)): c
+                _relabeled(dr + 1, d.labels[:k2] + fresh + d.labels[k2:] + fresh): c
                 for d, c in result.num.items()
             }
         else:
-            num = {Diagram(dr + 1, d.blocks): c for d, c in result.num.items()}
+            num = {_diagram(dr + 1, d.labels): c for d, c in result.num.items()}
         # distinct diagrams embed to distinct diagrams: still canonical
         result = _trusted(dr + 1, num, result.den, result.mode)
     return result
@@ -508,15 +511,11 @@ def mobius_coefficient(finer: Diagram, coarser: Diagram) -> int:
     """Mobius function of the refinement interval [finer, coarser]."""
     if finer.double_rank != coarser.double_rank:
         raise RankMismatch("diagram ranks differ")
-    owner = {v: i for i, b in enumerate(coarser.blocks) for v in b}
-    counts = [0] * len(coarser.blocks)
-    for block in finer.blocks:
-        tops = {owner[v] for v in block}
-        if len(tops) != 1:
-            raise RankMismatch("diagrams are not nested")
-        counts[tops.pop()] += 1
+    nested = set(zip(finer.labels, coarser.labels))
+    if len(nested) != finer.block_count:
+        raise RankMismatch("diagrams are not nested")
     out = 1
-    for m in counts:
+    for m in Counter(outer for _, outer in nested).values():
         out *= (-1) ** (m - 1) * factorial(m - 1)
     return out
 
@@ -555,10 +554,9 @@ def eps_down(a: AlgebraElement) -> AlgebraElement:
     k2 = columns(a.double_rank)
     pairs = []
     for d, c in a.terms.items():
-        top, bot = d.block_of(k2), d.block_of(-k2)
-        merged = top if top is bot else top + bot
-        rest = [b for b in d.blocks if b is not top and b is not bot]
-        pairs.append((Diagram(a.double_rank - 1, rest + [merged]), c))
+        top, bottom = d.labels[k2 - 1], d.labels[-1]
+        names = (top if label == bottom else label for label in d.labels)
+        pairs.append((_relabeled(a.double_rank - 1, names), c))
     return AlgebraElement(a.double_rank - 1, pairs, a.mode)
 
 
@@ -572,15 +570,9 @@ def eps_up(a: AlgebraElement) -> AlgebraElement:
     x = _param_power(a.mode, 1)
     pairs = []
     for d, c in a.terms.items():
-        blocks = []
-        destroyed = True
-        for b in d.blocks:
-            kept = tuple(v for v in b if v not in (k2, -k2))
-            if kept:
-                blocks.append(kept)
-            if len(kept) != len(b) and kept:
-                destroyed = False
-        pairs.append((Diagram(a.double_rank - 1, blocks), c * x if destroyed else c))
+        rest = d.labels[: k2 - 1] + d.labels[k2:-1]
+        kept = d.labels[k2 - 1] in rest
+        pairs.append((_relabeled(a.double_rank - 1, rest), c if kept else c * x))
     return AlgebraElement(a.double_rank - 1, pairs, a.mode)
 
 

@@ -39,12 +39,12 @@ LIMITS = {
     "murphy_family": 8,
     # double rank of one diagram built by Diagram, identity_diagram,
     # generator, b_s or d_i, in time and memory linear in the rank;
-    # generator("s", 1, 100000) 0.41 s and 35 MB, at 10**6 5.6 s and
-    # 332 MB
+    # generator("s", 1, 100000) 0.05-0.07 s and 42 MB, at 10**6 0.51 s
+    # and 273 MB
     "diagram": 100_000,
     # double rank of presentation_relations and verify_presentation;
-    # verify_presentation(128), 20,664 relations, 2.6-2.7 s and 193 MB;
-    # at 160 5.6 s and 350 MB, at 192 7.7 s and 592 MB
+    # verify_presentation(128), 20,664 relations, 1.3-1.5 s and 61 MB;
+    # at 160 1.9-2.1 s and 97 MB, at 192 3.0-3.1 s and 149 MB
     "presentation": 128,
     # double rank of refinements, coarsenings, to_orbit_basis,
     # from_orbit_basis and orbit_element, which make up to Bell(double

@@ -35,7 +35,7 @@ from .algebra import (
     specialize,
 )
 from .combinatorics import build_bratteli, hooks_and_contents, syt_dimension
-from .diagrams import Diagram, _generators, _strands, columns, identity_diagram
+from .diagrams import Diagram, _generators, _relabeled, columns, identity_diagram, vertex_universe
 from .errors import BadParams, BadSubset
 from .limits import check
 from .linalg import rank as matrix_rank
@@ -75,8 +75,8 @@ def _check_columns(entry: str, double_rank: int, subset) -> tuple[int, ...]:
 def b_s(double_rank: int, subset) -> Diagram:
     """Diagram collapsing the chosen columns into a single block."""
     s = _check_columns("diagram", double_rank, subset)
-    merged = [v for m in s for v in (m, -m)]
-    return Diagram(double_rank, [merged] + _strands(double_rank, set(s)))
+    merged = frozenset(v for m in s for v in (m, -m))
+    return _split(double_rank, merged, merged)
 
 
 def d_i(double_rank: int, subset, chosen) -> Diagram:
@@ -103,9 +103,15 @@ def d_i(double_rank: int, subset, chosen) -> Diagram:
         pair = {cols, -cols}
         if cols in s and not (pair <= inside or pair <= comp):
             raise BadSubset("last column pair must stay on one side")
-    return Diagram(
-        double_rank, [sorted(inside), sorted(comp)] + _strands(double_rank, set(s))
-    )
+    return _split(double_rank, full, inside)
+
+
+def _split(double_rank: int, full: frozenset[int], inside: frozenset[int]) -> Diagram:
+    """The block full of b_s split into inside and the rest, unchecked:
+    label names 0 and -1 for the parts and the column for each strand."""
+    universe = vertex_universe(double_rank)
+    names = (0 if v in inside else -1 if v in full else abs(v) for v in universe)
+    return _relabeled(double_rank, names)
 
 
 def _split_sign(s: tuple[int, ...], inside: frozenset[int]) -> int:
@@ -123,7 +129,7 @@ def _half_sum(double_rank: int, s: tuple[int, ...], admissible) -> AlgebraElemen
         for inside in map(frozenset, combinations(vertices, r)):
             if admissible(inside, full - inside):
                 sign = _split_sign(s, inside)
-                pairs.append((d_i(double_rank, s, inside), Fraction(sign, 2)))
+                pairs.append((_split(double_rank, full, inside), Fraction(sign, 2)))
     return element(double_rank, pairs)
 
 

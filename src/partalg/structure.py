@@ -79,7 +79,7 @@ from .errors import (
     VertexNotFound,
 )
 from .limits import _nonnegative, check
-from .linalg import _eliminate_mod_p, _integer_row, bareiss_det, invert, rref, singular
+from .linalg import bareiss_det, invert, rref, singular
 from .linalg import rank as matrix_rank
 from .scalars import Poly, RatFunc, Scalar, parse_parameter
 from .symgroup import MatrixUnitSystem, sym_matrix_units, young_elements
@@ -603,10 +603,9 @@ def radical_basis(double_rank: int, n) -> list[AlgebraElement]:
     form (Dickson): rad A = {a : tr_reg(ab) = 0 for all b}.  The basis
     is the null space of gram(double_rank, n), one element per free
     column of its reduced echelon form: 1 on that diagram and minus the
-    reduced entry on each pivot diagram.  A Gram matrix of full rank
-    mod linalg.PRIME has full rank over Q, so its kernel is empty
-    without the elimination over Q.  gram caps the double rank and the
-    height of n.
+    reduced entry on each pivot diagram.  A Gram matrix that
+    linalg.singular finds nonsingular has an empty kernel, so rref is
+    skipped.  gram caps the double rank and the height of n.
 
     >>> len(radical_basis(4, 2))
     5
@@ -615,7 +614,7 @@ def radical_basis(double_rank: int, n) -> list[AlgebraElement]:
     """
     point = parse_parameter(n)
     matrix = gram(double_rank, point, want_det=False).matrix
-    if len(_eliminate_mod_p([_integer_row(row) for row in matrix])) == len(matrix):
+    if not singular(matrix):
         return []
     rows, pivots = rref(matrix)
     basis = _basis(double_rank)

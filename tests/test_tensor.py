@@ -144,8 +144,9 @@ def block_label_oracle(d, labelings):
     every block carries one label, and for the orbit element when
     distinct blocks also carry distinct labels."""
     action, orbit = [], []
+    blocks = d.blocks
     for label in labelings:
-        per_block = [{label[v] for v in block} for block in d.blocks]
+        per_block = [{label[v] for v in block} for block in blocks]
         constant = all(len(labels) == 1 for labels in per_block)
         action.append(int(constant))
         orbit.append(int(constant and len(set().union(*per_block)) == len(per_block)))
