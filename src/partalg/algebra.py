@@ -1,13 +1,13 @@
 """Sparse linear combinations of diagrams with exact coefficients.
 
 Elements live at a fixed rank in one of two modes: generic, where
-coefficients are polynomials or rational functions in the parameter x,
-and specialized, where the parameter is a fixed rational n.  The
-product of two diagrams is x^r (or n^r) times their composition, r
-counting the components removed from the middle row.  A specialized
-element keeps int numerators over one common denominator, so its sums,
-scalings, products and equality do no Fraction arithmetic; ``terms``
-shows its coefficients as Fractions.
+coefficients are polynomials in the parameter x, and specialized, where
+the parameter is a fixed rational n.  The product of two diagrams is
+x^r (or n^r) times their composition, r counting the components removed
+from the middle row, so the structure constants lie in Z[x].  A
+specialized element keeps int numerators over one common denominator,
+so its sums, scalings, products and equality do no Fraction arithmetic;
+``terms`` shows its coefficients as Fractions.
 
 >>> from partalg.algebra import diagram_element, multiply
 >>> from partalg.diagrams import make_diagram
@@ -25,6 +25,7 @@ from math import factorial, gcd, lcm
 
 from .diagrams import (
     Diagram,
+    _block_positions,
     _checked_diagram,
     _diagram,
     _relabeled,
@@ -46,12 +47,7 @@ from .errors import (
     RankMismatch,
 )
 from .limits import _nonnegative, check
-from .scalars import (
-    Poly,
-    RatFunc,
-    Scalar,
-    parse_parameter,
-)
+from .scalars import Poly, Scalar, parse_parameter
 
 __all__ = [
     "AlgebraElement",
@@ -81,24 +77,21 @@ Mode = Fraction | None  # None is the generic parameter x
 
 
 def _norm_coeff(value, mode: Mode):
-    if mode is None:
-        if isinstance(value, RatFunc):
-            return value.num if value.den == Poly.const(1) else value
-        if isinstance(value, Poly):
+    if isinstance(value, Poly):
+        if mode is None:
             return value
-    elif isinstance(value, (Poly, RatFunc)):
         raise ModeMismatch("specialized element cannot hold symbolic coefficients")
     try:
         value = Fraction(value)
     except (TypeError, ValueError, OverflowError):
-        raise BadParams(f"coefficient {value!r} is not a rational") from None
+        raise BadParams(f"coefficient {value!r} is not a polynomial or a rational") from None
     return value if mode is not None else Poly.const(value)
 
 
-def _generic_terms(double_rank: int, pairs) -> dict[Diagram, Scalar]:
-    # a Poly is canonical already; a scalar of every kind is false
+def _generic_terms(double_rank: int, pairs) -> dict[Diagram, Poly]:
+    # a Poly, and so the sum of two, is canonical already, and false
     # exactly when it is zero
-    cleaned: dict[Diagram, Scalar] = {}
+    cleaned: dict[Diagram, Poly] = {}
     for d, c in pairs:
         if type(d) is not Diagram or d.double_rank != double_rank:
             _refuse_term(d)
@@ -109,7 +102,7 @@ def _generic_terms(double_rank: int, pairs) -> dict[Diagram, Scalar]:
             if prev is None:
                 cleaned[d] = c
             else:
-                total = _norm_coeff(prev + c, None)
+                total = prev + c
                 if total:
                     cleaned[d] = total
                 else:
@@ -165,11 +158,13 @@ class AlgebraElement:
     ``num`` over one positive int ``den``, in lowest terms (gcd(den,
     *num.values()) == 1), so equal elements store equal numerators and
     denominators and their sums, scalings and products run on ints.
-    The constructor takes ints, Fractions and values Fraction() parses,
-    and reads a mode other than None with ``parse_parameter``.
-    A generic element stores its Poly or RatFunc coefficients in ``num``
-    over ``den`` 1.  ``terms`` shows the coefficients by diagram, as
-    Fractions in specialized mode.
+    A generic element stores Poly coefficients in ``num`` over ``den``
+    1.  The constructor takes ints, Fractions and values Fraction()
+    parses, which become constant Polys in generic mode, and Polys in
+    generic mode only; any other coefficient, a rational function among
+    them, raises BadParams.  It reads a mode other than None with
+    ``parse_parameter``.  ``terms`` shows the coefficients by diagram,
+    as Fractions in specialized mode.
 
     >>> from partalg.diagrams import identity_diagram, make_diagram
     >>> p1, e = make_diagram(2, [[1], [-1]]), identity_diagram(2)
@@ -204,7 +199,7 @@ class AlgebraElement:
     @property
     def terms(self) -> dict[Diagram, Scalar]:
         """The nonzero coefficients by diagram: Fractions in specialized
-        mode, Poly or RatFunc values in generic mode."""
+        mode, Polys in generic mode."""
         if self.mode is None:
             return self.num
         den = self.den
@@ -316,43 +311,24 @@ def _param_power(mode: Mode, r: int):
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of d1 d2 = x^r (d1 composed over d2).
 
-    Both integer kernels accumulate ints and build their result through
-    ``_trusted``, without the constructor's checks, dropping the
+    One integer kernel per mode accumulates ints and builds the result
+    through ``_trusted``, without the constructor's checks, dropping the
     diagrams whose sum is zero.  Specialized factors are ints over one
     denominator each, D for a and E for b; with n = p/q in lowest terms
     and K the column count (r <= K), each term pair adds u v p^r q^(K-r)
     for numerators u and v into one int per output diagram, and the
     sums are over D E q^K, reduced once by their gcd.  Generic factors
-    holding only Poly coefficients are scaled to integers by the common
-    denominator of all their coefficients, D and E again (1 when every
-    coefficient is integral): each term pair adds the convolution of
-    its two integer tuples, shifted up by r places for x^r, into one
-    integer list per output diagram, and each output coefficient is
-    divided once at the end, by D E.  Generic factors holding a RatFunc
-    multiply scalars pair by pair, reading x^r from a table filled once
-    per call and skipping it when r = 0, and sum through the validating
-    constructor.
+    are scaled to integers by the common denominator of all their Poly
+    coefficients, D and E again (1 when every coefficient is integral):
+    each term pair adds the convolution of its two integer tuples,
+    shifted up by r places for x^r, into one integer list per output
+    diagram, and each output coefficient is divided once at the end, by
+    D E.
     """
     a._check_compatible(b)
     if a.mode is not None:
         return _multiply_specialized(a, b)
-    left = _integer_polys(a.num)
-    right = None if left is None else _integer_polys(b.num)
-    if right is not None:
-        return _multiply_poly(a.double_rank, *left, *right)
-    powers: dict[int, Scalar] = {}
-    out: dict[Diagram, Scalar] = {}
-    for d1, c1 in a.num.items():
-        for d2, c2 in b.num.items():
-            d, r = compose(d1, d2)
-            contrib = c1 * c2
-            if r:
-                power = powers.get(r)
-                if power is None:
-                    power = powers[r] = _param_power(None, r)
-                contrib = contrib * power
-            out[d] = out.get(d, 0) + contrib
-    return AlgebraElement(a.double_rank, out, a.mode)
+    return _multiply_poly(a.double_rank, *_integer_polys(a.num), *_integer_polys(b.num))
 
 
 def _trusted(double_rank: int, num: dict[Diagram, Scalar], den: int, mode: Mode) -> AlgebraElement:
@@ -376,14 +352,11 @@ def _add_specialized(a: AlgebraElement, b: AlgebraElement, sign: int) -> Algebra
     return _trusted(a.double_rank, *_lowest_terms(sums, den), a.mode)
 
 
-def _integer_polys(terms: dict[Diagram, Scalar]):
+def _integer_polys(terms: dict[Diagram, Poly]):
     """The Poly coefficient tuples of the terms scaled to integers by
-    their common denominator, and that denominator; None when a
-    coefficient is a RatFunc."""
+    their common denominator, and that denominator."""
     den = 1
     for c in terms.values():
-        if type(c) is RatFunc:
-            return None
         if c.denominator != 1:
             den = lcm(den, c.denominator)
     if den == 1:
@@ -465,46 +438,38 @@ def embed(a: AlgebraElement, target_double_rank: int) -> AlgebraElement:
     return result
 
 
-def _set_partitions(items) -> list[list[list]]:
-    """Every set partition of the items, as lists of parts, in the
-    order of their restricted-growth strings."""
-    out = []
-    for string in _rg_strings(len(items)):
-        parts: list[list] = [[] for _ in range(max(string, default=-1) + 1)]
-        for label, item in zip(string, items):
-            parts[label].append(item)
-        out.append(parts)
-    return out
-
-
 def refinements(d: Diagram) -> list[Diagram]:
-    """All diagrams below d in the coarsening order (blocks split).
+    """All diagrams below d in the coarsening order (blocks split), the
+    set partitions of each block in the order of ``blocks``.
 
     At a half-integer rank -K goes wherever K goes, so the two stay in
     one block.  There are up to Bell(double rank) of them, so the double
     rank is capped, as for every orbit-basis entry, in partalg.limits.
     """
-    k2 = columns(check("orbit_basis", _checked_diagram(d).double_rank))
-    twin = -k2 if d.double_rank % 2 else 0
-    splits = [_set_partitions([v for v in block if v != twin]) for block in d.blocks]
-    return [
-        Diagram(
-            d.double_rank,
-            [part + [twin] if twin and k2 in part else part for split in choice for part in split],
-        )
-        for choice in product(*splits)
-    ]
+    dr = check("orbit_basis", _checked_diagram(d).double_rank)
+    k2 = columns(dr)
+    twin = 2 * k2 - 1 if dr % 2 else None  # the label position of -K
+    blocks = [[i for i in group if i != twin] for group in _block_positions(d)]
+    out = []
+    for strings in product(*(_rg_strings(len(members)) for members in blocks)):
+        names: list = [None] * (2 * k2)
+        for b, (members, string) in enumerate(zip(blocks, strings)):
+            for i, part in zip(members, string):
+                names[i] = (b, part)
+        if twin is not None:
+            names[twin] = names[k2 - 1]
+        out.append(_relabeled(dr, names))
+    return out
 
 
 def coarsenings(d: Diagram) -> list[Diagram]:
-    """All diagrams above d in the coarsening order (blocks merged).
-    Every orbit-basis map goes through here, and shares the cap of
-    refinements."""
-    check("orbit_basis", _checked_diagram(d).double_rank)
-    return [
-        Diagram(d.double_rank, [[v for b in group for v in b] for group in groups])
-        for groups in _set_partitions(d.blocks)
-    ]
+    """All diagrams above d in the coarsening order (blocks merged), the
+    set partitions of ``blocks`` in order.  Every orbit-basis map goes
+    through here, and shares the cap of refinements."""
+    dr = check("orbit_basis", _checked_diagram(d).double_rank)
+    index = {d.labels[group[0]]: n for n, group in enumerate(_block_positions(d))}
+    order = [index[label] for label in d.labels]
+    return [_relabeled(dr, [string[n] for n in order]) for string in _rg_strings(d.block_count)]
 
 
 def mobius_coefficient(finer: Diagram, coarser: Diagram) -> int:

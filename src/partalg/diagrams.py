@@ -178,6 +178,13 @@ def _relabeled(double_rank: int, names) -> Diagram:
     return _diagram(double_rank, tuple(relabel.setdefault(n, len(relabel)) for n in names))
 
 
+def _block_positions(d: Diagram) -> list[list[int]]:
+    """The label positions of each block's vertices, in the order of
+    ``blocks``."""
+    k2 = columns(d.double_rank)
+    return [[v - 1 if v > 0 else k2 - v - 1 for v in block] for block in d.blocks]
+
+
 def _checked_diagram(d) -> Diagram:
     if not isinstance(d, Diagram):
         raise BadParams(f"need a Diagram, not {d!r}")
@@ -272,29 +279,31 @@ def propagating_number(d: Diagram) -> int:
     return len(set(d.labels[:k2]).intersection(d.labels[k2:]))
 
 
-def _cycle_positions(d: Diagram) -> list[list[int]]:
-    # boundary cycle 1,...,K,K',...,1'
+def _cycle(d: Diagram) -> tuple[int, ...]:
+    """The labels read around the boundary cycle 1,...,K,-K,...,-1."""
     k2 = columns(d.double_rank)
-    out = []
-    for block in d.blocks:
-        out.append(sorted(v - 1 if v > 0 else 2 * k2 + v for v in block))
-    return out
+    return d.labels[:k2] + d.labels[k2:][::-1]
 
 
 def is_planar(d: Diagram) -> bool:
-    """True iff no two blocks interleave on the boundary cycle."""
-    pos = _cycle_positions(d)
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            merged = sorted((p, 0) for p in pos[i]) + sorted((p, 1) for p in pos[j])
-            merged.sort()
-            changes = 0
-            n = len(merged)
-            for t in range(n):
-                if merged[t][1] != merged[(t + 1) % n][1]:
-                    changes += 1
-            if changes >= 4:
-                return False
+    """True iff no two blocks interleave on the boundary cycle.
+
+    Read around the cycle, the blocks met and not yet finished form a
+    stack: two blocks interleave exactly when a block met before turns
+    up again while another block is on top of it.
+    """
+    cycle = _cycle(d)
+    last = {b: c for c, b in enumerate(cycle)}
+    met: set[int] = set()
+    stack: list[int] = []
+    for c, b in enumerate(cycle):
+        if b not in met:
+            met.add(b)
+            stack.append(b)
+        elif stack[-1] != b:
+            return False
+        if last[b] == c:
+            stack.pop()
     return True
 
 
@@ -365,11 +374,16 @@ Token = tuple[str, Fraction]
 
 
 def token_str(token: Token) -> str:
-    kind, idx = token
+    try:
+        kind, idx = token
+    except (TypeError, ValueError):
+        raise IndexOutOfRange(f"{token!r} is not a (kind, index) token") from None
     return f"{kind}_{idx}"
 
 
 def parse_token(text: str) -> Token:
+    if not isinstance(text, str):
+        raise IndexOutOfRange(f"generator token {text!r} is not a string")
     kind, _, idx = text.partition("_")
     if kind not in ("s", "e", "p") or not idx:
         raise IndexOutOfRange(f"bad generator token {text!r}")
@@ -436,15 +450,33 @@ def coarsens(d1: Diagram, d2: Diagram) -> bool:
     return len(set(zip(d1.labels, d2.labels))) == d1.block_count
 
 
+def _as_tuple(values, what: str) -> tuple:
+    """tuple(values), or BadParams when values is not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise BadParams(f"{what} {values!r} is not a sequence") from None
+
+
+def _int_images(images) -> tuple[int, ...]:
+    """The images as a tuple of ints (a bool is not one), else BadParams."""
+    images = _as_tuple(images, "images")
+    if any(type(v) is not int for v in images):
+        raise BadParams("images are not ints")
+    return images
+
+
 def permutation_diagram(images: Sequence[int], double_rank: int) -> Diagram:
     """Diagram of the permutation sending top i to bottom images[i-1]."""
-    return Diagram(double_rank, [[i, -images[i - 1]] for i in range(1, len(images) + 1)])
+    return Diagram(double_rank, [[i, -v] for i, v in enumerate(_int_images(images), 1)])
 
 
 def perm_word(images: Sequence[int]) -> list[Token]:
     """Adjacent-transposition word whose top-down evaluation is the
     permutation diagram of images (bubble sort emission order)."""
-    arr = list(images)
+    arr = list(_int_images(images))
+    if sorted(arr) != list(range(1, len(arr) + 1)):
+        raise BadParams(f"images {images!r} are not a permutation of 1..{len(arr)}")
     word: list[Token] = []
     changed = True
     while changed:
@@ -529,26 +561,23 @@ def planar_to_tl(d: Diagram) -> Diagram:
     Each column splits into a left and right boundary point; every
     block, read around the boundary cycle, contributes one strand from
     each member's outgoing side to the next member's incoming side.
-    The map is a monoid isomorphism onto its image.
+    The map is a monoid isomorphism onto its image; on a diagram that is
+    not planar it is no monoid map, so such a diagram raises BadParams.
     """
-    k2 = columns(d.double_rank)
-
-    def outgoing(v: int) -> int:
-        return 2 * v if v > 0 else -(2 * (-v) - 1)
-
-    def incoming(v: int) -> int:
-        return 2 * v - 1 if v > 0 else -(2 * (-v))
-
-    def cyclic(v: int) -> int:
-        return v - 1 if v > 0 else 2 * k2 + v
-
-    blocks = []
-    for block in d.blocks:
-        ring = sorted(block, key=cyclic)
-        for t, v in enumerate(ring):
-            w = ring[(t + 1) % len(ring)]
-            blocks.append([outgoing(v), incoming(w)])
-    return Diagram(4 * k2, blocks)
+    if not is_planar(_checked_diagram(d)):
+        raise BadParams(f"{d!r} is not planar")
+    rings: list[list[int]] = [[] for _ in range(d.block_count)]
+    for c, b in enumerate(_cycle(d)):
+        rings[b].append(c)
+    # cycle position c splits into the incoming point 2c and the
+    # outgoing point 2c + 1 of the image's cycle; the strand leaving c
+    # is named c, and the image has one column per vertex of d
+    width = 2 * columns(d.double_rank)
+    names = [0] * (2 * width)
+    for ring in rings:
+        for c, after in zip(ring, ring[1:] + ring[:1]):
+            names[2 * c + 1] = names[2 * after] = c
+    return _relabeled(2 * width, names[:width] + names[width:][::-1])
 
 
 def _p_indices(double_rank: int) -> list[Fraction]:

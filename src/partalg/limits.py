@@ -48,10 +48,10 @@ LIMITS = {
     "presentation": 128,
     # double rank of refinements, coarsenings, to_orbit_basis,
     # from_orbit_basis and orbit_element, which make up to Bell(double
-    # rank) diagrams per term; at 10, refinements of the one-block
-    # diagram and orbit_element of the all-singletons one, 115,975
-    # diagrams, 2.8-5.2 s and 158 MB; at 11 both ran out of an 800 MB
-    # address-space limit after 23-24 s
+    # rank) diagrams per term; at 10, 115,975 diagrams, refinements of
+    # the one-block diagram 0.7-1.2 s and 66 MB, orbit_element of the
+    # all-singletons one 1.5-2.0 s and 77 MB; at 11, 678,570 diagrams,
+    # 5.2 s and 307 MB, and 11.5 s and 358 MB
     "orbit_basis": 10,
     # double rank; verify_murphy(6, [4]), 0.88 s; at 7 the witnesses
     # [4] * 12 + [2] took 17 s

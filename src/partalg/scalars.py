@@ -1,6 +1,8 @@
 """Exact scalar arithmetic: rationals, polynomials in x, rational functions in x.
 
-The three scalar kinds that appear as diagram coefficients:
+Diagram coefficients are rationals, or polynomials in x in generic
+mode; a rational function is the generic value of a trace-weight ratio
+(``structure.eps_ratio``), never a coefficient.
 
 >>> from partalg.scalars import Poly, RatFunc, parse_rational
 >>> x = Poly.x()
@@ -36,7 +38,6 @@ __all__ = [
     "parse_rational",
     "parse_parameter",
     "rational_str",
-    "scalar_is_zero",
 ]
 
 
@@ -385,10 +386,4 @@ def _coerce_ratfunc(value):
 
 
 Scalar = Fraction | Poly | RatFunc
-
-
-def scalar_is_zero(value: Scalar | int) -> bool:
-    if isinstance(value, (Poly, RatFunc)):
-        return value.is_zero()
-    return value == 0
 

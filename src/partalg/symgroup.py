@@ -18,7 +18,7 @@ from math import factorial, gcd, lcm
 
 from .algebra import AlgebraElement, Mode, _norm_coeff, diagram_element, multiply
 from .combinatorics import _validate, partitions_of, syt_dimension
-from .diagrams import permutation_diagram
+from .diagrams import _as_tuple, _int_images, permutation_diagram
 from .errors import BadParams, SizeMismatch
 from .limits import _nonnegative, check
 from .scalars import parse_parameter
@@ -42,9 +42,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = _as_tuple(images, "images")
-        if any(type(v) is not int for v in images):
-            raise BadParams("images are not ints")
+        images = _int_images(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise SizeMismatch("images are not a bijection of 1..size")
         self.images = images
@@ -90,9 +88,7 @@ class Permutation:
         return out
 
     def to_element(self, mode: Mode = None) -> AlgebraElement:
-        return diagram_element(
-            permutation_diagram(self.images, 2 * self.size), mode=_read_mode(mode)
-        )
+        return diagram_element(permutation_diagram(self.images, 2 * self.size), mode=mode)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -113,25 +109,11 @@ class Permutation:
         return Permutation(images)
 
 
-def _as_tuple(values, what: str) -> tuple:
-    """tuple(values), or BadParams when values is not iterable."""
-    try:
-        return tuple(values)
-    except TypeError:
-        raise BadParams(f"{what} {values!r} is not a sequence") from None
-
-
 def _point(v, size: int) -> int:
     """v if it is an int (a bool is not) in 1..size, else BadParams."""
     if type(v) is not int or not 1 <= v <= size:
         raise BadParams(f"{v!r} is not a point of 1..{size}")
     return v
-
-
-def _read_mode(mode) -> Mode:
-    """None for the generic parameter, else mode as a Fraction of
-    capped height."""
-    return None if mode is None else parse_parameter(mode)
 
 
 def transposition(a: int, b: int, size: int) -> Permutation:
@@ -145,7 +127,6 @@ def transposition(a: int, b: int, size: int) -> Permutation:
 def kappa(n: int, mode: Mode = None) -> AlgebraElement:
     """Sum of all transpositions of S_n; central in the group algebra."""
     pairs = combinations(range(1, check("kappa", n) + 1), 2)
-    mode = _read_mode(mode)
     terms = ((permutation_diagram(transposition(a, b, n).images, 2 * n), 1) for a, b in pairs)
     return AlgebraElement(2 * n, terms, mode)
 
@@ -241,7 +222,6 @@ def young_elements(shape, size: int, mode: Mode = None):
     Returns (row_part, signed_part, tau, product) where the product is
     row_part * tau * signed_part * tau^{-1}.
     """
-    mode = _read_mode(mode)
     shape = _checked_shape(shape, size)
     row_part = _subgroup_sum(shape, size, signed=False, mode=mode)
     signed_part = _subgroup_sum(_conjugate(shape), size, signed=True, mode=mode)
@@ -333,7 +313,7 @@ def sym_matrix_units(size: int, mode: Mode = None) -> MatrixUnitSystem:
     True
     """
     check("sym_matrix_units", 2 * size if type(size) is int else size)
-    return _sym_matrix_units(size, _read_mode(mode))
+    return _sym_matrix_units(size, None if mode is None else parse_parameter(mode))
 
 
 # Each kept size-6 system holds about 13 MB.  Ten modes at size 6 in one

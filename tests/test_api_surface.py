@@ -91,6 +91,13 @@ def test_no_module_imports_random():
         assert "random" not in modules, path.name
 
 
+def test_only_scalars_and_eps_ratio_name_ratfunc():
+    """Coefficients are polynomials: a rational function is only the
+    generic value of structure.eps_ratio."""
+    named = [path.name for path in SOURCES if re.search(r"\bRatFunc\b", path.read_text())]
+    assert named == ["scalars.py", "structure.py"]
+
+
 def _public_functions():
     """Every function in a module's __all__, and every public method
     and constructor defined by a class there."""

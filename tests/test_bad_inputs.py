@@ -19,9 +19,10 @@ from partalg.errors import (
     PartalgError,
     RankMismatch,
 )
-from partalg.scalars import parse_rational
+from partalg.scalars import Poly, RatFunc, parse_rational
 
 P1 = Diagram(2, [[1], [-1]])
+POLE = RatFunc(Poly.const(1), Poly((-1, 1)))  # 1 / (x - 1)
 IDENTITY = tensor.EndoMatrix.identity(2, 1)
 ID2 = diagrams.identity_diagram(2)
 
@@ -82,6 +83,17 @@ OUT_OF_DOMAIN = {
     "AlgebraElement(2, [(d,)], 3)": lambda: algebra.AlgebraElement(2, [(ID2,)], 3),
     "AlgebraElement(2, [(d, 1, 1)])": lambda: algebra.AlgebraElement(2, [(ID2, 1, 1)]),
     "AlgebraElement(2, [(d, 1, 1)], 3)": lambda: algebra.AlgebraElement(2, [(ID2, 1, 1)], 3),
+    # a rational function was a generic coefficient, and a
+    # ModeMismatch in specialized mode; coefficients are polynomials
+    "element(2, [(d, 1/(x-1))])": lambda: algebra.element(2, [(ID2, POLE)]),
+    "element(2, [(d, 1/(x-1))], 3)": lambda: algebra.element(2, [(ID2, POLE)], 3),
+    "diagram_element(d, 1/(x-1))": lambda: diagram_element(ID2, POLE),
+    "diagram_element(d, 1/(x-1), 3)": lambda: diagram_element(ID2, POLE, 3),
+    "one(2).scale(1/(x-1))": lambda: one(2).scale(POLE),
+    "one(2, 3).scale(1/(x-1))": lambda: one(2, 3).scale(POLE),
+    # returned Diagram(8, ((1, -3), (-1, 3), (2, -4), (-2, 4))), which is
+    # no monoid image
+    "planar_to_tl(crossing)": lambda: diagrams.planar_to_tl(Diagram(4, [[1, -2], [2, -1]])),
 }
 
 
@@ -109,6 +121,12 @@ DIAGRAM_ARGUMENTS = {
     "Diagram(True, [[1, -1]])": (lambda: Diagram(True, [[1, -1]]), BadParams),  # was accepted
     # took 4.0 s and 756 MB
     "identity_diagram(2 * 10**6)": (lambda: diagrams.identity_diagram(2 * 10**6), LimitExceeded),
+    # the word helpers leaked AttributeError, ValueError and TypeError
+    "parse_token(5)": (lambda: diagrams.parse_token(5), IndexOutOfRange),
+    'token_str("x")': (lambda: diagrams.token_str("x"), IndexOutOfRange),
+    'perm_word([1, "a"])': (lambda: diagrams.perm_word([1, "a"]), BadParams),
+    "perm_word([3, 3])": (lambda: diagrams.perm_word([3, 3]), BadParams),  # returned []
+    'permutation_diagram("x", 4)': (lambda: diagrams.permutation_diagram("x", 4), BadParams),
 }
 
 

@@ -7,20 +7,32 @@ every pair at double rank at most 4, in generic and specialized mode.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 
 import pytest
 
 from partalg import murphy
-from partalg.algebra import diagram_element, element, embed, eps_down, eps_up, mobius_coefficient
+from partalg.algebra import (
+    coarsenings,
+    diagram_element,
+    element,
+    embed,
+    eps_down,
+    eps_up,
+    mobius_coefficient,
+    refinements,
+)
 from partalg.diagrams import (
     Diagram,
+    _rg_strings,
     coarsens,
     columns,
     enumerate_diagrams,
     flip,
     identity_diagram,
+    is_planar,
+    planar_to_tl,
 )
 from partalg.errors import RankMismatch
 from partalg.murphy import b_s, d_i
@@ -92,6 +104,69 @@ def block_split(double_rank, s, inside):
     return Diagram(double_rank, [p for p in parts if p] + strands)
 
 
+def block_set_partitions(items):
+    out = []
+    for string in _rg_strings(len(items)):
+        parts = [[] for _ in range(max(string, default=-1) + 1)]
+        for label, item in zip(string, items):
+            parts[label].append(item)
+        out.append(parts)
+    return out
+
+
+def block_refinements(d):
+    k2 = columns(d.double_rank)
+    twin = -k2 if d.double_rank % 2 else 0
+    splits = [block_set_partitions([v for v in block if v != twin]) for block in d.blocks]
+    return [
+        Diagram(
+            d.double_rank,
+            [part + [twin] if twin and k2 in part else part for split in choice for part in split],
+        )
+        for choice in product(*splits)
+    ]
+
+
+def block_coarsenings(d):
+    return [
+        Diagram(d.double_rank, [[v for b in group for v in b] for group in groups])
+        for groups in block_set_partitions(d.blocks)
+    ]
+
+
+def block_is_planar(d):
+    k2 = columns(d.double_rank)
+    pos = [sorted(v - 1 if v > 0 else 2 * k2 + v for v in block) for block in d.blocks]
+    for i in range(len(pos)):
+        for j in range(i + 1, len(pos)):
+            merged = sorted([(p, 0) for p in pos[i]] + [(p, 1) for p in pos[j]])
+            n = len(merged)
+            if sum(merged[t][1] != merged[(t + 1) % n][1] for t in range(n)) >= 4:
+                return False
+    return True
+
+
+def block_planar_to_tl(d):
+    k2 = columns(d.double_rank)
+
+    def outgoing(v):
+        return 2 * v if v > 0 else -(2 * (-v) - 1)
+
+    def incoming(v):
+        return 2 * v - 1 if v > 0 else -(2 * (-v))
+
+    def cyclic(v):
+        return v - 1 if v > 0 else 2 * k2 + v
+
+    blocks = []
+    for block in d.blocks:
+        ring = sorted(block, key=cyclic)
+        for t, v in enumerate(ring):
+            w = ring[(t + 1) % len(ring)]
+            blocks.append([outgoing(v), incoming(w)])
+    return Diagram(4 * k2, blocks)
+
+
 def test_blocks_are_derived_not_stored():
     assert "blocks" not in Diagram.__slots__
     for dr in RANKS:
@@ -156,3 +231,18 @@ def test_collapses_and_splits_match_block_bodies():
                         split = block_split(dr, s, inside)
                         assert d_i(dr, s, inside) is split
                         assert murphy._split(dr, full, inside) is split
+
+
+@pytest.mark.parametrize("double_rank", RANKS)
+def test_refinements_coarsenings_and_doubling_match_block_bodies(double_rank):
+    # the same lists in the same order: set partitions of each block, or
+    # of the blocks, in the order of blocks
+    planar = 0
+    for d in enumerate_diagrams(double_rank):
+        assert refinements(d) == block_refinements(d)
+        assert coarsenings(d) == block_coarsenings(d)
+        assert is_planar(d) is block_is_planar(d)
+        if is_planar(d):
+            assert planar_to_tl(d) is block_planar_to_tl(d)
+            planar += 1
+    assert planar

@@ -37,15 +37,16 @@ from partalg.diagrams import (
     enumerate_diagrams,
     propagating_number,
 )
-from partalg.errors import NotSemisimple
+from partalg.errors import DenominatorVanishes, NotSemisimple
 from partalg.linalg import PRIME, invert, rank, rref, singular
-from partalg.scalars import Poly
+from partalg.scalars import Poly, RatFunc
 from partalg.structure import (
     _build_units,
     _sandwich_factors,
     _weight,
     basic_construction_iso,
     char_decomposition_check,
+    eps_ratio,
     gram,
     matrix_units,
     radical_basis,
@@ -295,6 +296,22 @@ def test_radical_dimensions_at_n_zero_and_one():
     assert radical_basis(3, 0) == radical_basis(5, 0) == []
     assert len(radical_basis(4, 0)) == 9
     assert [len(radical_basis(6, n)) for n in (0, 1)] == [111, 44]
+
+
+def test_eps_ratio_is_a_rational_function_with_poles():
+    """The one generic value that is not a polynomial: the ratio of
+    weights, a Poly only where the lower weight divides out, and a
+    DenominatorVanishes at a pole, asked for generically or at n."""
+    x = Poly.x()
+    assert eps_ratio(3, (), (1,)) == x * x - 2 * x
+    ratio = eps_ratio(3, (1,), ())
+    assert ratio == RatFunc(x, x - 1)
+    for n in (0, 2, 5, Fraction(1, 2)):
+        assert eps_ratio(3, (1,), (), n) == ratio(n)
+    with pytest.raises(DenominatorVanishes):
+        eps_ratio(3, (1,), (), 1)
+    with pytest.raises(DenominatorVanishes):
+        ratio(1)
 
 
 def test_char_decomposition():
