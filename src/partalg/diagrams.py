@@ -378,7 +378,9 @@ def token_str(token: Token) -> str:
         kind, idx = token
     except (TypeError, ValueError):
         raise IndexOutOfRange(f"{token!r} is not a (kind, index) token") from None
-    return f"{kind}_{idx}"
+    if kind not in ("s", "e", "p"):
+        raise IndexOutOfRange(f"bad generator kind {kind!r}")
+    return f"{kind}_{_gen_index(idx)}"
 
 
 def parse_token(text: str) -> Token:

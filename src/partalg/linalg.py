@@ -1,14 +1,14 @@
 """Exact dense linear algebra over Q and over polynomial rings.
 
-Determinants, ranks, reduced row echelon forms and inverses share one
-fraction-free (Bareiss) elimination over Z or another integral domain;
-it stays inside any domain supporting exact division (int, Fraction,
-Poly).  A rational matrix is first scaled, each row by the least
-common multiple of its denominators, so its elimination runs on Python
-ints and every intermediate entry is a minor of that integer matrix;
-no row operation runs on Fractions.  Every entry point raises
-ValueError on rows of unequal length, and on a non-square matrix where
-it needs a square one.
+Determinants, ranks, reduced row echelon forms, null spaces and
+inverses share one fraction-free (Bareiss) elimination over Z or
+another integral domain; it stays inside any domain supporting exact
+division (int, Fraction, Poly).  A rational matrix is first scaled,
+each row by the lcm of its denominators, so its elimination runs on
+Python ints and every intermediate entry is a minor of that integer
+matrix; no row operation runs on Fractions.  Every entry point raises
+ValueError on rows of unequal length, and on a non-square matrix
+where it needs a square one.
 
 ``singular`` answers det == 0 with a certificate either way: full rank
 mod the prime p = PRIME proves det != 0, and an integer kernel vector,
@@ -29,12 +29,13 @@ into the next.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 __all__ = [
     "bareiss_det",
     "rank",
     "rref",
+    "null_space",
     "invert",
     "singular",
 ]
@@ -71,9 +72,8 @@ def _eliminate(m) -> tuple[int, int]:
     date, with its pivot at the end of its leading zeros, and each row
     above it holds its pivot row as it was when it was used.
 
-    This is the only elimination over a domain: bareiss_det, rank, rref
-    and singular's fallback all run on it.  Over Z/p, ``singular`` uses
-    _eliminate_mod_p on packed rows.
+    This is the only elimination over a domain; over Z/p, ``singular``
+    uses _eliminate_mod_p on packed rows.
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -196,19 +196,10 @@ def bareiss_det(matrix):
     return det if scale is None else Fraction(det, scale)
 
 
-def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rows as Fractions,
-    pivot columns), the zero rows last.
-
-    The rows, scaled to integers, are eliminated by _eliminate.  With d
-    the last pivot, back-substitution from the last pivot row up makes
-    each row d times its reduced row, every quotient exact because the
-    entries are minors; one division by d ends it.
-
-    >>> rows, pivots = rref([[1, 2, 3], [2, 4, 7], [3, 6, 10]])
-    >>> [[str(v) for v in row] for row in rows], pivots
-    ([['1', '2', '0'], ['0', '0', '1'], ['0', '0', '0']], [0, 2])
-    """
+def _reduced(matrix) -> tuple[list[list[int]], list[int], int]:
+    """(rows, pivots, d): the integer rows eliminated, then back-solved
+    up to d times their reduced rows, d the last pivot; exact, as the
+    entries are minors."""
     m = _checked([list(_integer_row(row)) for row in matrix])
     full = _eliminate(m)[0]
     pivots = [next(j for j, v in enumerate(row) if v) for row in m[:full]]
@@ -221,7 +212,37 @@ def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
             if lead:
                 values = [a - lead * b for a, b in zip(values, m[k][col:])]
         row[col:] = _divide_row(values, row[col])
+    return m, pivots, d
+
+
+def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q; returns (rows as Fractions,
+    pivot columns), the zero rows last: the rows of _reduced over d.
+
+    >>> rows, pivots = rref([[1, 2, 3], [2, 4, 7], [3, 6, 10]])
+    >>> [[str(v) for v in row] for row in rows], pivots
+    ([['1', '2', '0'], ['0', '0', '1'], ['0', '0', '0']], [0, 2])
+    """
+    m, pivots, d = _reduced(matrix)
     return [[Fraction(v, d) for v in row] for row in m], pivots
+
+
+def null_space(matrix) -> list[list[int]]:
+    """Basis of the null space over Q, per free column f of the reduced
+    form in order: e_f minus column f of the reduced rows on their
+    pivots, as coprime ints, positive on f, the last nonzero entry.
+
+    >>> null_space([[1, 2, 3], [2, 4, 7], [3, 6, 10]])
+    [[-2, 1, 0]]
+    """
+    m, pivots, d = _reduced(matrix)
+    rows, cols = dict(zip(pivots, m)), range(len(m[0]) if m else 0)
+    kernel = []
+    for f in sorted(set(cols) - rows.keys()):
+        v = [-rows[j][f] if j in rows else d if j == f else 0 for j in cols]
+        g = gcd(*v) if d > 0 else -gcd(*v)
+        kernel.append([a // g for a in v])
+    return kernel
 
 
 def rank(matrix) -> int:

@@ -12,16 +12,18 @@ Z's give the commuting family ``M`` indexed by half-integer ranks.
 commutation, centrality of ``Z``, the tensor-action identity relating
 ``Z`` to the sum of transposition actions on labelings, and the joint
 spectra of the family on labelings compared with box-content
-predictions read off walks in the concrete branching graph.  Ranks 0
-and 1/2 of ``Z`` are set to the identity, so M(1) = p_1 - 1 and the
-content value of the first step, that of p_1, is lowered by 1.
+predictions read off walks in the concrete branching graph, each joint
+kernel refined over Z from that of its prefix.  Ranks 0 and 1/2 of
+``Z`` are the identity, so M(1) = p_1 - 1 and the content value of
+the first step, that of p_1, is lowered by 1.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .algebra import (
@@ -38,7 +40,7 @@ from .combinatorics import build_bratteli, hooks_and_contents, syt_dimension
 from .diagrams import Diagram, _generators, _relabeled, columns, identity_diagram, vertex_universe
 from .errors import BadParams, BadSubset
 from .limits import check
-from .linalg import rank as matrix_rank
+from .linalg import null_space, rank as matrix_rank
 from .scalars import Poly
 from .symgroup import transposition
 from .tensor import EndoMatrix, _side, phi, sym_tensor_matrix
@@ -256,15 +258,34 @@ def kappa_tensor_matrix(n: int, slots: int, *, fixed_last: bool = False) -> Endo
     return total
 
 
-def _joint_nullity(mats: Sequence[EndoMatrix], values: Sequence[int]) -> int:
-    """Dimension of the common kernel of the shifts m - t, each block
-    of rows taken as den * (m - t) = num - t * den, of the same rank."""
-    stacked = [
-        [v - t * m.den if i == j else v for j, v in enumerate(row)]
-        for m, t in zip(mats, values)
-        for i, row in enumerate(m.num)
-    ]
-    return mats[0].side - matrix_rank(stacked)
+def _joint_nullities(mats: Sequence[EndoMatrix], keys) -> dict[tuple[int, ...], int]:
+    """Common kernel dimension of the shifts m_i - t_i for each tuple t
+    of keys (see _spectra_report); B as rows, None for the whole space."""
+    sparse = [[[(j, v) for j, v in enumerate(row) if v] for row in m.num] for m in mats]
+    nullity = dict.fromkeys(keys, 0)
+
+    def refine(level, basis, group):
+        for t, below in groupby(group, itemgetter(level)):
+            shift = t * mats[level].den
+            if basis is None:
+                w = [[v - shift if i == j else v for j, v in enumerate(row)]
+                     for i, row in enumerate(mats[level].num)]
+            else:  # summed over the nonzero entries of num
+                w = []
+                for b, row in zip(basis, sparse[level]):
+                    acc = [-shift * x for x in b]
+                    for j, v in row:
+                        acc = [a + v * x for a, x in zip(acc, basis[j])]
+                    w.append(acc)
+            if level == len(mats) - 1:
+                nullity[next(below)] = len(w[0]) - matrix_rank(w)
+            elif kernel := null_space(w):
+                if basis is not None:
+                    kernel = [[sum(map(mul, b, c)) for b in basis] for c in kernel]
+                refine(level + 1, list(zip(*kernel)), below)
+
+    refine(0, None, sorted(keys))
+    return nullity
 
 
 def _step_value(prev, cur, n: int) -> int:
@@ -286,6 +307,12 @@ def _spectra_report(family, double_rank: int, n: int) -> dict:
     of distinct tuples are independent, so when each predicted kernel
     has the predicted dimension and these add up to n**k, the kernels
     span the whole space and no eigenvalue is left unchecked.
+
+    One walk over the prefix tree of the sorted tuples refines an integer
+    basis B of each prefix's joint kernel by the null space of W = (num -
+    t den) B, t the next value: exact over Z, with no matrix assumed
+    diagonalizable, so each value is the dimension of the meet of the
+    ker(M_i - t_i).  An empty kernel ends its branch at 0.
     """
     side = n ** (double_rank // 2)
     graph = build_bratteli("concrete", double_rank, n)
@@ -299,17 +326,12 @@ def _spectra_report(family, double_rank: int, n: int) -> dict:
             predicted[key] += syt_dimension(vertex)
 
     stack = [phi(specialize(elem, n), n) for _, elem in family[1:]]
-    tuples = []
-    for key in sorted(predicted):
-        dim = _joint_nullity(stack, key)
-        tuples.append(
-            {
-                "values": list(key),
-                "predicted": predicted[key],
-                "measured": dim,
-                "ok": dim == predicted[key],
-            }
-        )
+    measured = _joint_nullities(stack, predicted)
+    tuples = [
+        {"values": list(key), "predicted": count, "measured": dim, "ok": dim == count}
+        for key, count in sorted(predicted.items())
+        for dim in [measured[key]]
+    ]
     ok = all(t["ok"] for t in tuples) and sum(t["measured"] for t in tuples) == side
     return {"n": n, "side": side, "tuples": tuples, "ok": ok}
 

@@ -79,7 +79,7 @@ from .errors import (
     VertexNotFound,
 )
 from .limits import _nonnegative, check
-from .linalg import bareiss_det, invert, rref, singular
+from .linalg import bareiss_det, invert, null_space, singular
 from .linalg import rank as matrix_rank
 from .scalars import Poly, RatFunc, Scalar, parse_parameter
 from .symgroup import MatrixUnitSystem, sym_matrix_units, young_elements
@@ -601,11 +601,11 @@ def radical_basis(double_rank: int, n) -> list[AlgebraElement]:
 
     In characteristic 0 the radical is the kernel of the regular trace
     form (Dickson): rad A = {a : tr_reg(ab) = 0 for all b}.  The basis
-    is the null space of gram(double_rank, n), one element per free
+    is linalg.null_space of gram(double_rank, n), one element per free
     column of its reduced echelon form: 1 on that diagram and minus the
     reduced entry on each pivot diagram.  A Gram matrix that
-    linalg.singular finds nonsingular has an empty kernel, so rref is
-    skipped.  gram caps the double rank and the height of n.
+    linalg.singular finds nonsingular has an empty kernel, so the null
+    space is skipped.  gram caps the double rank and the height of n.
 
     >>> len(radical_basis(4, 2))
     5
@@ -616,15 +616,10 @@ def radical_basis(double_rank: int, n) -> list[AlgebraElement]:
     matrix = gram(double_rank, point, want_det=False).matrix
     if not singular(matrix):
         return []
-    rows, pivots = rref(matrix)
     basis = _basis(double_rank)
-    return [
-        AlgebraElement(
-            double_rank, [(d, 1)] + [(basis[p], -row[f]) for row, p in zip(rows, pivots)], point
-        )
-        for f, d in enumerate(basis)
-        if f not in pivots
-    ]
+    # a kernel vector's last nonzero entry is the one on its free column
+    kernel = [(v, [a for a in v if a][-1]) for v in null_space(matrix)]
+    return [AlgebraElement(double_rank, zip(basis, v), point) * Fraction(1, f) for v, f in kernel]
 
 
 def specht(double_rank: int, lam, witness_n: int | None = None) -> dict:

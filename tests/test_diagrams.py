@@ -304,6 +304,30 @@ def test_token_round_trip():
     for bad in ("q_1", "s_x", "p_1/3"):
         with pytest.raises(IndexOutOfRange):
             parse_token(bad)
+    # token_str("q", 5) gave "q_5", which parse_token refuses
+    for bad in (("q", 5), ("s", Fraction(1, 3))):
+        with pytest.raises(IndexOutOfRange):
+            token_str(bad)
+
+
+@given(
+    st.sampled_from(["s", "e", "p", "q", "", 1]),
+    st.one_of(
+        st.integers(-20, 20),
+        st.fractions(max_denominator=4),
+        st.sampled_from(["3", "5/2", "2/3", "x", 1.5, 0.25, None]),
+    ),
+)
+def test_token_str_is_read_back_by_parse_token(kind, idx):
+    try:
+        readable = kind in ("s", "e", "p") and Fraction(idx).denominator in (1, 2)
+    except (TypeError, ValueError):
+        readable = False
+    if not readable:
+        with pytest.raises(IndexOutOfRange):
+            token_str((kind, idx))
+    else:
+        assert parse_token(token_str((kind, idx))) == (kind, Fraction(idx))
 
 
 @pytest.mark.parametrize("double_rank", range(9))

@@ -9,6 +9,7 @@ from partalg.linalg import (
     _eliminate_mod_p,
     bareiss_det,
     invert,
+    null_space,
     rank,
     rref,
     singular,
@@ -207,6 +208,39 @@ def test_rank_leaves_input_alone():
         assert rank(m) == expected
         rref(m)
         assert m == copy
+
+
+def _null_space_cases():
+    """Seeded int and Fraction matrices: wide, tall, zero, full-rank
+    and with no rows."""
+    rng = random.Random(29)
+    small = lambda: rng.randint(-3, 3)
+    frac = lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+    cases = [[], [[0, 0, 0]], [[0, 0], [0, 0], [0, 0]], [[2, 1], [1, 1]], [[Fraction(1, 2), 0], [0, 3]]]
+    for entry in (small, frac):
+        for rows, cols in ((2, 5), (3, 7), (6, 3), (8, 2), (4, 4)):
+            cases.append([[entry() for _ in range(cols)] for _ in range(rows)])
+        # low rank: products of a tall and a wide factor
+        for rows, inner, cols in ((5, 2, 6), (6, 1, 4), (3, 2, 3)):
+            left = [[entry() for _ in range(inner)] for _ in range(rows)]
+            right = [[entry() for _ in range(cols)] for _ in range(inner)]
+            cases.append([[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left])
+    return cases
+
+
+def test_null_space_is_a_full_rank_kernel():
+    seen = set()
+    for m in _null_space_cases():
+        cols = len(m[0]) if m else 0
+        r = rank(m)
+        seen.add("zero" if r == 0 else "full" if r == min(len(m), cols) else "deficient")
+        kernel = null_space(m)
+        assert len(kernel) == cols - r, m
+        for v in kernel:
+            assert len(v) == cols and all(type(a) is int for a in v), m
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m), m
+        assert rank(kernel) == len(kernel), m
+    assert seen == {"zero", "full", "deficient"}
 
 
 def test_rank_and_det_against_sympy():
@@ -418,6 +452,7 @@ def test_zero_first_column_is_singular_without_elimination_over_z(elimination_mo
         (invert, [[1], [0, 1]]),
         (bareiss_det, [[1, 2], [3]]),
         (singular, [[1], [2, 3]]),
+        (null_space, [[1, 2], [3]]),
     ],
 )
 def test_malformed_matrices_raise_value_error(call, matrix):

@@ -258,13 +258,60 @@ def test_kappa_tensor_matrix_checks_cap_before_allocating():
     assert peak < 1 << 20
 
 
+def stacked_nullity(mats, values):
+    """Dimension of the common kernel of the shifts m - t, read as the
+    nullity of all of them stacked, each block of rows taken as
+    den * (m - t) = num - t * den, of the same rank."""
+    stacked = [
+        [v - t * m.den if i == j else v for j, v in enumerate(row)]
+        for m, t in zip(mats, values)
+        for i, row in enumerate(m.num)
+    ]
+    return mats[0].side - matrix_rank(stacked)
+
+
 def test_joint_nullity_reads_matrices_with_a_denominator():
     # eigenvalues 2 (vector (1, 1)) and 1 (vector (1, -1)), stored as
     # [[3, 1], [1, 3]] over 2
     m = EndoMatrix(2, 1, [[Fraction(3, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(3, 2)]])
     assert m.den == 2
-    assert [murphy._joint_nullity([m], [t]) for t in (1, 2, 3)] == [1, 1, 0]
-    assert murphy._joint_nullity([m, m], [1, 2]) == 0
+    assert murphy._joint_nullities([m], [(1,), (2,), (3,)]) == {(1,): 1, (2,): 1, (3,): 0}
+    keys = [(1, 1), (1, 2), (2, 2), (2, 1)]
+    assert murphy._joint_nullities([m, m], keys) == {(1, 1): 1, (1, 2): 0, (2, 2): 1, (2, 1): 0}
+
+
+def test_joint_nullities_assume_no_diagonalizable_matrix():
+    # a Jordan block: t = 1 is its only eigenvalue, with a kernel of
+    # dimension 1, so a spectrum certificate must see 1 < side = 2
+    jordan = EndoMatrix(2, 1, [[1, 1], [0, 1]])
+    nullity = murphy._joint_nullities([jordan, jordan], [(1, 1), (1, 0), (0, 1)])
+    assert nullity == {(1, 1): 1, (1, 0): 0, (0, 1): 0}
+    assert sum(nullity.values()) < jordan.side
+    for key, dim in nullity.items():
+        assert dim == stacked_nullity([jordan, jordan], key)
+
+
+def test_joint_nullities_stop_where_a_kernel_empties():
+    # diag(1, 2, 2) then a matrix that splits the 2-eigenspace: t = 3 is
+    # no eigenvalue of the first member, so its branch stops at once
+    first = EndoMatrix(3, 1, [[1, 0, 0], [0, 2, 0], [0, 0, 2]])
+    second = EndoMatrix(3, 1, [[5, 0, 0], [0, 0, 1], [0, 1, 0]])
+    keys = [(3, 5), (3, 1), (2, 1), (2, -1), (2, 5), (1, 5)]
+    nullity = murphy._joint_nullities([first, second], keys)
+    assert nullity == {(3, 5): 0, (3, 1): 0, (2, 1): 1, (2, -1): 1, (2, 5): 0, (1, 5): 1}
+    assert nullity == {key: stacked_nullity([first, second], key) for key in keys}
+
+
+def test_refined_nullities_match_stacked_ranks():
+    for double_rank in range(2, 7):
+        family = murphy_family(double_rank)
+        n = 1
+        while n ** (double_rank // 2) <= 27:
+            mats = [phi(specialize(elem, n), n) for _, elem in family[1:]]
+            spec = murphy._spectra_report(family, double_rank, n)
+            for item in spec["tuples"]:
+                assert item["measured"] == stacked_nullity(mats, item["values"]), (double_rank, n)
+            n += 1
 
 
 def test_first_family_member_eigenvalues_at_witness_seven():

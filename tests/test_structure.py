@@ -234,6 +234,22 @@ def test_radical_dimension_is_gram_nullity():
         assert len(radical_basis(dr, n)) == nullity
 
 
+@pytest.mark.parametrize("dr, n", ((2, 0), (3, 1), (4, 2), (4, 0), (6, 1)))
+def test_radical_basis_is_the_rref_read_off(dr, n):
+    # the reference reading: per free column f of the reduced Gram
+    # matrix, 1 on diagram f and minus the reduced entry of column f on
+    # each pivot diagram
+    point = Fraction(n)
+    rows, pivots = rref(gram(dr, point, want_det=False).matrix)
+    basis = structure._basis(dr)
+    expected = [
+        AlgebraElement(dr, [(d, 1)] + [(basis[p], -row[f]) for row, p in zip(rows, pivots)], point)
+        for f, d in enumerate(basis)
+        if f not in pivots
+    ]
+    assert radical_basis(dr, n) == expected
+
+
 def _sandwich_radical(double_rank: int, n) -> list[AlgebraElement]:
     """The radical at the first level where a tower weight vanishes, by
     the sandwich route: the products left[p] * right[q] of the units one
