@@ -20,9 +20,9 @@ LIMITS = {
     # 2.2-2.4 s and 21 MB
     "enumerate_diagrams": 8,
     "gram": 6,  # double rank; gram(6, -5/7) with det, 4.9 s
-    # double rank; gram(4, None, "diagram"), 0.13 s; gram(5, None,
-    # "diagram") took 9.8-9.9 s, no margin under the budget
-    "gram_generic_det": 4,
+    # double rank; gram(5, None) 2.8-4.2 s and gram(5, None, "diagram")
+    # 2.2-2.6 s, 18 MB; at 6 the matrices have side 203, not run
+    "gram_generic_det": 5,
     # double rank; semisimple_verdict(11, n) for n = 2..11 and 127,
     # 0.14-5.2 s and 85 MB, 3.9-5.2 s from n = 8 up; its largest pairing
     # matrix has side 810, and 3,720 at 12, which was not run

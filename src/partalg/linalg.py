@@ -1,14 +1,16 @@
-"""Exact dense linear algebra over Q and over polynomial rings.
+"""Exact dense linear algebra over Q and over Q[x].
 
 Determinants, ranks, reduced row echelon forms, null spaces and
-inverses share one fraction-free (Bareiss) elimination over Z or
-another integral domain; it stays inside any domain supporting exact
-division (int, Fraction, Poly).  A rational matrix is first scaled,
-each row by the lcm of its denominators, so its elimination runs on
-Python ints and every intermediate entry is a minor of that integer
-matrix; no row operation runs on Fractions.  Every entry point raises
-ValueError on rows of unequal length, and on a non-square matrix
-where it needs a square one.
+inverses share one fraction-free (Bareiss) elimination, and it runs
+over Z only.  A rational matrix is first scaled, each row by the lcm
+of its denominators, so every intermediate entry is a minor of that
+integer matrix and no row operation runs on Fractions.  A matrix with
+polynomial (``Poly``) entries reaches the same integer elimination by
+Kronecker substitution: ``bareiss_det`` scales its rows to integer
+polynomials, evaluates them at x = 2**w for a w large enough that the
+determinant's coefficients are read back exactly from its base-2**w
+digits.  Every entry point raises ValueError on rows of unequal
+length, and on a non-square matrix where it needs a square one.
 
 ``singular`` answers det == 0 with a certificate either way: full rank
 mod the prime p = PRIME proves det != 0, and an integer kernel vector,
@@ -29,7 +31,9 @@ into the next.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
+
+from .scalars import Poly
 
 __all__ = [
     "bareiss_det",
@@ -46,19 +50,9 @@ PRIME = 2**61 - 1
 LIFT_BOUND = 2**30
 
 
-def _exact_div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise ValueError("inexact integer division in elimination")
-        return q
-    if hasattr(a, "exact_div"):
-        return a.exact_div(b)
-    return a / b
-
-
-def _eliminate(m) -> tuple[int, int]:
-    """One-step fraction-free (Bareiss) elimination of the rows m, in place.
+def _eliminate(m: list[list[int]]) -> tuple[int, int]:
+    """One-step fraction-free (Bareiss) elimination of the int rows m,
+    in place.
 
     Pivots are taken row by row, each in the leftmost column that still
     has a nonzero entry at or below the current row.  Every updated
@@ -72,8 +66,8 @@ def _eliminate(m) -> tuple[int, int]:
     date, with its pivot at the end of its leading zeros, and each row
     above it holds its pivot row as it was when it was used.
 
-    This is the only elimination over a domain; over Z/p, ``singular``
-    uses _eliminate_mod_p on packed rows.
+    This is the only elimination over Z; over Z/p, ``singular`` uses
+    _eliminate_mod_p on packed rows.
     """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -103,7 +97,7 @@ def _eliminate(m) -> tuple[int, int]:
                 continue
             values = [a * pivot - lead * b for a, b in zip(target[col + 1 :], tail)]
             target[col + 1 :] = _divide_row(values, dens[r])
-            target[col] = lead - lead
+            target[col] = 0
             dens[r] = pivot
         prev = pivot
         row += 1
@@ -164,36 +158,105 @@ def _pack(values, size: int) -> int:
     return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
 
 
-def _divide_row(values, den):
+def _divide_row(values: list[int], den: int) -> list[int]:
+    """The ints values each divided by den; ValueError if a division
+    leaves a remainder."""
     if den == 1:
         return values
-    return [_exact_div(v, den) for v in values]
+    quotients = []
+    for v in values:
+        q, r = divmod(v, den)
+        if r:
+            raise ValueError("inexact integer division in elimination")
+        quotients.append(q)
+    return quotients
 
 
 def bareiss_det(matrix):
-    """Determinant of a square matrix by fraction-free elimination.
+    """Determinant of a square matrix of ints, Fractions and Polys, by
+    one fraction-free elimination over Z; ValueError on any other entry,
+    a float or a bool among them.  The result is an int, a Fraction once
+    an entry is a Fraction, and a Poly once an entry is a Poly.
 
-    Entries may be ints, Fractions, or any domain elements exposing
-    * and - and either / (exact) or .exact_div().  A rational matrix is
-    scaled to integers first, det M = det(D M) / det D; intermediate
-    values stay in one domain, never a fraction field.
+    Each row is scaled to integers by the lcm of its entries'
+    denominators (a Poly's is that of its coefficients), and
+    det M = det(D M) / det D.  A matrix of integer polynomials p_ij is
+    then taken to Z by Kronecker substitution: it is evaluated at
+    x = 2**w, and det(D M)(2**w) is read back in balanced w-bit digits,
+    which are the coefficients of det(D M) as long as each is below
+    2**(w - 1) in absolute value.  They are below 2**(w - 2):
+
+    - by Cauchy's estimate on |z| = 1, each coefficient of det(D M) is
+      at most the largest |det(D M)(z)| there;
+    - by Hadamard's inequality, and |p(z)| <= |p|_1 (the sum of the
+      absolute values of p's coefficients), that is at most
+      sqrt(N), N = prod_i sum_j |p_ij|_1**2;
+    - a coefficient is an integer, so it is at most isqrt(N), and w is
+      the bit length of isqrt(N) plus 2.
+
+    >>> from partalg.scalars import Poly
+    >>> x = Poly.x()
+    >>> bareiss_det([[x, 2], [Fraction(1, 2), x - 3]])
+    Poly('x^2 - 3*x - 1')
     """
     m = _checked([list(row) for row in matrix], square=True)
-    n = len(m)
-    if n == 0:
-        return 1
-    scale = None
     kinds = {type(v) for row in m for v in row}
-    if Fraction in kinds and kinds <= {int, Fraction}:
+    if not kinds <= {int, Fraction, Poly}:
+        raise ValueError("matrix entries must be ints, Fractions or Polys")
+    if Poly in kinds:
+        return _poly_det(m)
+    if Fraction in kinds:
         scale = prod(lcm(*(v.denominator for v in row)) for row in m)
-        m = [list(_integer_row(row)) for row in m]
+        return Fraction(_integer_det([list(_integer_row(row)) for row in m]), scale)
+    return _integer_det(m)
+
+
+def _integer_det(m: list[list[int]]) -> int:
+    """Determinant of the square int matrix m, eliminated in place."""
+    if not m:
+        return 1
     full, sign = _eliminate(m)
-    det = m[n - 1][n - 1]
-    if full < n:
-        det = det - det
-    elif sign < 0:
-        det = -det
-    return det if scale is None else Fraction(det, scale)
+    return sign * m[-1][-1] if full == len(m) else 0
+
+
+def _poly_det(m) -> Poly:
+    """bareiss_det of a matrix with a Poly entry, by Kronecker
+    substitution at x = 2**w; bareiss_det gives w and why the digits
+    read back are exact."""
+    scales = [lcm(*(v.denominator for v in row)) for row in m]
+    rows = [[_integer_coeffs(v, s) for v in row] for row, s in zip(m, scales)]
+    w = isqrt(prod(sum(sum(map(abs, p)) ** 2 for p in row) for row in rows)).bit_length() + 2
+    value = _integer_det([[_at_power_of_two(p, w) for p in row] for row in rows])
+    coeffs = []
+    while value:
+        digit = value & ((1 << w) - 1)
+        if digit >> (w - 1):
+            digit -= 1 << w
+        coeffs.append(digit)
+        value = (value - digit) >> w
+    scale = prod(scales)
+    if scale == 1:
+        return Poly._from_ints(tuple(coeffs))
+    return Poly([Fraction(c, scale) for c in coeffs])
+
+
+def _integer_coeffs(v, scale: int):
+    """The coefficients of the int, Fraction or Poly v times scale, a
+    multiple of v's denominator, as ints."""
+    if type(v) is not Poly:
+        return (v.numerator * (scale // v.denominator),)
+    if scale == 1:
+        return v.coeffs  # ints, as v.denominator is 1
+    return [c.numerator * (scale // c.denominator) for c in v.coeffs]
+
+
+def _at_power_of_two(coeffs, w: int) -> int:
+    """The integer polynomial of these coefficients at x = 2**w, by
+    Horner's rule with shifts; exact for signed coefficients."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << w) + c
+    return value
 
 
 def _reduced(matrix) -> tuple[list[list[int]], list[int], int]:

@@ -258,8 +258,8 @@ def gram(
     an entry is n**r times it), and Fractions at any other n.  Both
     forms are traces, so tr(a b) = tr(b a): the entries on and above
     the diagonal are computed and mirrored below it.  The
-    determinant uses fraction-free elimination, over Z at a numeric
-    parameter once each row is scaled to integers.  The double rank
+    determinant is linalg.bareiss_det, one fraction-free elimination
+    over Z, by Kronecker substitution in generic mode.  The double rank
     and the height of n are capped in partalg.limits.
     """
     check("gram", double_rank)

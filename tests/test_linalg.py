@@ -2,7 +2,7 @@ from fractions import Fraction
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from partalg.linalg import (
     PRIME,
@@ -14,7 +14,7 @@ from partalg.linalg import (
     rref,
     singular,
 )
-from partalg.scalars import Poly
+from partalg.scalars import Poly, RatFunc
 
 
 def naive_det(matrix):
@@ -71,6 +71,45 @@ def test_bareiss_singular_and_empty():
     assert bareiss_det([]) == 1
     assert bareiss_det([[0, 0], [1, 2]]) == 0
     assert bareiss_det([[1, 2], [2, 4]]) == 0
+
+
+coefficients = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+polys = st.lists(coefficients, max_size=3).map(Poly)
+poly_entries = st.one_of(polys, polys, st.just(Poly()), small_ints, small_fractions)
+
+
+@st.composite
+def poly_matrices(draw):
+    """Square matrices of side 1-5 holding at least one Poly, with int
+    and Fraction entries mixed in; about a third made singular by
+    setting the last row to a combination of the others."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = [[draw(poly_entries) for _ in range(n)] for _ in range(n)]
+    m[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(polys)
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        factors = [draw(polys) for _ in range(n - 1)]
+        m[-1] = [sum((f * row[j] for f, row in zip(factors, m)), Poly()) for j in range(n)]
+    return m
+
+
+@settings(max_examples=30, deadline=None)
+@given(poly_matrices())
+def test_bareiss_on_polynomials_against_sympy(matrix):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def expr(v):
+        coeffs = v.coeffs if isinstance(v, Poly) else (v,)
+        return sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs))
+
+    det = bareiss_det(matrix)
+    assert type(det) is Poly
+    expected = sympy.Matrix([[expr(v) for v in row] for row in matrix]).det(method="berkowitz")
+    assert sympy.expand(expected - expr(det)) == 0
 
 
 def test_rank():
@@ -453,6 +492,12 @@ def test_zero_first_column_is_singular_without_elimination_over_z(elimination_mo
         (bareiss_det, [[1, 2], [3]]),
         (singular, [[1], [2, 3]]),
         (null_space, [[1, 2], [3]]),
+        # bareiss_det takes only int, Fraction and Poly entries
+        (bareiss_det, [[0.5, 1], [1, 2]]),
+        (bareiss_det, [[2.0]]),
+        (bareiss_det, [[True, 1], [1, 2]]),
+        (bareiss_det, [[Poly.x(), "1"], [1, 2]]),
+        (bareiss_det, [[Poly.x(), 1], [RatFunc(Poly.x(), Poly((1, 1))), 2]]),
     ],
 )
 def test_malformed_matrices_raise_value_error(call, matrix):

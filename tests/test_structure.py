@@ -38,7 +38,7 @@ from partalg.diagrams import (
     propagating_number,
 )
 from partalg.errors import DenominatorVanishes, NotSemisimple
-from partalg.linalg import PRIME, invert, rank, rref, singular
+from partalg.linalg import PRIME, bareiss_det, invert, rank, rref, singular
 from partalg.scalars import Poly, RatFunc
 from partalg.structure import (
     _build_units,
@@ -176,6 +176,21 @@ def test_generic_regular_gram_roots():
         det = gram(dr, None).det
         assert not det.is_zero()
         assert _integer_roots(det) == roots
+
+
+@pytest.mark.parametrize("trace_kind", ["regular", "diagram"])
+def test_generic_gram_determinants_interpolate_the_numeric_ones(trace_kind):
+    """The generic determinant and the true one both have degree at
+    most D = sum_i max_j deg m_ij, so agreeing with the integer
+    determinants of the numeric Gram matrices at D + 2 points proves
+    them equal."""
+    for dr in range(5):
+        report = gram(dr, None, trace_kind)
+        bound = sum(max(v.degree for v in row) for row in report.matrix)
+        assert report.det.degree <= bound
+        for x0 in range(bound + 2):
+            numeric = gram(dr, x0, trace_kind, want_det=False).matrix
+            assert report.det(x0) == bareiss_det(numeric), (dr, x0)
 
 
 def test_gram_determinants_at_rational_n_match_sympy():
